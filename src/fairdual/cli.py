@@ -4,8 +4,8 @@ Every subcommand is a thin adapter over one library entry point; the CLI
 itself only loads files, forwards flags, renders reports, and maps
 verdicts to exit codes. Codes are a contract: 0 for fair / exists / all
 pass, 1 for unfair / not exists / any fail, 2 for usage and budget
-errors. `--json` swaps the human rendering for machine-readable JSON
-carrying exact rationals.
+errors and for any unexpected exception. `--json` swaps the human
+rendering for machine-readable JSON carrying exact rationals.
 """
 
 from __future__ import annotations
@@ -469,6 +469,12 @@ def main(argv=None) -> int:
         return ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return ERROR
+    except Exception as exc:
+        # A crash is no verdict: it must not exit 0 or 1.
+        detail = str(exc).strip().splitlines()
+        suffix = f": {detail[0]}" if detail else ""
+        print(f"error: internal {type(exc).__name__}{suffix}", file=sys.stderr)
         return ERROR
 
 

@@ -35,6 +35,10 @@ class BudgetExceededError(FairdualError):
     """An enumeration exceeded its evaluation budget."""
 
 
+class CertificateError(FairdualError):
+    """A computed certificate failed its independent re-verification."""
+
+
 class NotACycleError(FairdualError):
     """The given agent sequence is not a cycle of the current envy graph."""
 

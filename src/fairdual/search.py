@@ -38,14 +38,16 @@ class EnumerationPlan:
     total: int
 
 
+def plan_total(instance: Instance) -> int:
+    """Allocations in the plan, counted without building it."""
+    return math.prod(math.comb(instance.agents, t.copies) for t in instance.types)
+
+
 def enumeration_plan(instance: Instance) -> EnumerationPlan:
     per_type = tuple(
         tuple(combinations(range(instance.agents), t.copies)) for t in instance.types
     )
-    total = 1
-    for t in instance.types:
-        total *= math.comb(instance.agents, t.copies)
-    return EnumerationPlan(subsets=per_type, total=total)
+    return EnumerationPlan(subsets=per_type, total=plan_total(instance))
 
 
 def _bundles_for_choice(instance: Instance, choice) -> tuple:

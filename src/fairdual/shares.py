@@ -9,8 +9,8 @@ within an entitlement budget at adversarial prices.
 Anyprice prices live on the simplex over free types: types held by every
 agent are forced into each bundle, contribute their value as a constant,
 and carry no price. A price vector lists one weight per free type, summing
-to one; the per-copy view (each of the k copies of a type priced equally
-at weight/k) is available through `per_copy`.
+to one. Each exclusion probe of the anyprice search is one exact linear
+program, solved by `exactlp.maximize`.
 """
 
 from __future__ import annotations
@@ -24,12 +24,18 @@ from .exactlp import maximize
 from .model import (
     Allocation,
     BudgetExceededError,
+    CertificateError,
     Instance,
     InstanceError,
     OrientationError,
     require_valid,
 )
-from .search import DEFAULT_ENUM_CAP, _bundles_for_choice, enumeration_plan
+from .search import (
+    DEFAULT_ENUM_CAP,
+    _bundles_for_choice,
+    enumeration_plan,
+    plan_total,
+)
 
 SHARE_KINDS = ("prop", "mms", "tps", "aps")
 
@@ -89,10 +95,6 @@ class PriceVector:
                 return w
         return Fraction(0)
 
-    def per_copy(self, instance: Instance, name: str) -> Fraction:
-        """Price of one copy; all copies of a type cost the same."""
-        return self.price(name) / instance.copies(name)
-
     def weight(self, bundle) -> Fraction:
         return sum((w for t, w in self.prices if t in bundle), Fraction(0))
 
@@ -111,12 +113,13 @@ def mms_share(
     verify_mms_lower_bound with a hand-picked witness instead.
     """
     cap = DEFAULT_ENUM_CAP if budget is None else budget
-    plan = enumeration_plan(instance)
-    if plan.total > cap:
+    total = plan_total(instance)
+    if total > cap:
         raise BudgetExceededError(
-            f"maximin enumeration needs {plan.total} allocations, budget {cap}; "
+            f"maximin enumeration needs {total} allocations, budget {cap}; "
             "supply a witness to verify_mms_lower_bound instead"
         )
+    plan = enumeration_plan(instance)
     row = instance.values[agent]
     n = instance.agents
     # min bundle value can never beat the average, so stop at PROP.
@@ -232,15 +235,13 @@ def forced_types(instance: Instance) -> frozenset:
     return frozenset(t.name for t in instance.types if t.copies == instance.agents)
 
 
-def _free_subset_values(instance, agent, free_positions):
-    """Bundle value of every subset of the free types, indexed by bitmask."""
-    row = instance.values[agent]
-    f = len(free_positions)
-    values = [Fraction(0)] * (1 << f)
-    for mask in range(1, 1 << f):
+def _subset_sums(items):
+    """Sum of every subset of the items, indexed by bitmask."""
+    sums = [Fraction(0)] * (1 << len(items))
+    for mask in range(1, len(sums)):
         low = (mask & -mask).bit_length() - 1
-        values[mask] = values[mask ^ (1 << low)] + row[free_positions[low]]
-    return values
+        sums[mask] = sums[mask ^ (1 << low)] + items[low]
+    return sums
 
 
 def _excludable(values, f, threshold, b, orientation):
@@ -265,19 +266,34 @@ def _excludable(values, f, threshold, b, orientation):
             )
         if boundary:
             frontier.append(m)
-    objective = [Fraction(0)] * f + [Fraction(1)]
-    eq = [([Fraction(1)] * f + [Fraction(0)], Fraction(1))]
+    # Maximize sigma = s + 1, where s is the least slack of a frontier
+    # bundle under prices p on the simplex. Every p gives s >= -b (goods)
+    # or s >= b - 1 (chores), so requiring sigma >= 0 loses no optimum, and
+    # every inequality keeps a nonnegative right-hand side; only sum(p) = 1
+    # needs an artificial. Excludable iff sigma > 1.
+    #   goods   sigma - p(m) <= 1 - b      chores   p(m) + sigma <= 1 + b.
+    objective = [0] * f + [1]
+    eq = [([1] * f + [0], 1)]
     leq = []
+    sign = -1 if orientation == "goods" else 1
+    rhs = 1 - b if orientation == "goods" else 1 + b
     for m in frontier:
-        member = [Fraction(1) if m & (1 << i) else Fraction(0) for i in range(f)]
-        if orientation == "goods":
-            leq.append(([-c for c in member] + [Fraction(1)], -b))
-        else:
-            leq.append((member + [Fraction(1)], b))
-    result = maximize(objective, leq=leq, eq=eq, free=[f])
-    if result.optimum > 0:
+        member = [sign if m >> i & 1 else 0 for i in range(f)]
+        leq.append((member + [1], rhs))
+    result = maximize(objective, leq=leq, eq=eq)
+    if result.optimum > 1:
         return True, result.solution[:f]
     return False, None
+
+
+def _best_within_budget(values, weights, b, orientation):
+    """Best affordable (goods) or forceable (chores) free-bundle value at these prices."""
+    best = None
+    for value, w in zip(values, _subset_sums(weights)):
+        feasible = w <= b if orientation == "goods" else w >= b
+        if feasible and (best is None or value > best):
+            best = value
+    return best
 
 
 def aps_share(
@@ -293,8 +309,8 @@ def aps_share(
     exact slack-maximizing feasibility program per probe.
 
     The certificate prices witness the value from above: under them no
-    strictly better bundle fits the budget, and re-verification by direct
-    enumeration is asserted before returning.
+    strictly better bundle fits the budget. They are re-verified by direct
+    enumeration before returning; a failure raises CertificateError.
     """
     orientation = instance.orientation()
     if orientation is None:
@@ -314,7 +330,8 @@ def aps_share(
         )
     if f == 0:
         return ShareValue(value=base, certificate=PriceVector((), b))
-    values = _free_subset_values(instance, agent, free_positions)
+    row = instance.values[agent]
+    values = _subset_sums([row[p] for p in free_positions])
     thresholds = sorted(set(values))
     # Exclusion is monotone in the threshold: find the last non-excludable.
     lo, hi = 0, len(thresholds) - 1
@@ -339,15 +356,12 @@ def aps_share(
         weights = list(prices_at_cut)
     vector = PriceVector(tuple(zip(names, weights)), b)
 
-    # Re-verify by enumeration: the best affordable (goods) or forceable
-    # (chores) bundle under the certificate prices is worth exactly the share.
-    best = None
-    for m in range(1 << f):
-        w = sum((weights[i] for i in range(f) if m & (1 << i)), Fraction(0))
-        feasible = w <= b if orientation == "goods" else w >= b
-        if feasible and (best is None or values[m] > best):
-            best = values[m]
-    assert best == free_value, "certificate failed re-verification"
+    best = _best_within_budget(values, weights, b, orientation)
+    if best != free_value:
+        raise CertificateError(
+            f"anyprice certificate failed re-verification: the best bundle "
+            f"within budget is worth {best}, not {free_value}"
+        )
     return ShareValue(value=base + free_value, certificate=vector)
 
 

@@ -23,7 +23,7 @@ from .criteria import (
 )
 from .model import Instance, format_rational, instance_to_json
 from .randgen import GENERATOR_VERSION, random_instance
-from .search import enumeration_plan, enumerate_allocations
+from .search import enumerate_allocations, plan_total
 from .shares import mms_share
 
 # Every goods notion the sweep evaluates, strong to weak.
@@ -149,7 +149,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     total_allocations = 0
     for index in range(config.count):
         instance = _sweep_instance(config, rng)
-        if enumeration_plan(instance).total > config.plan_cap:
+        if plan_total(instance) > config.plan_cap:
             continue
         valuations = [
             {t.name: instance.values[i][p] for p, t in enumerate(instance.types)}

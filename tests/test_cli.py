@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from fairdual import cli
 from fairdual.cli import main
 
 
@@ -249,3 +253,28 @@ def test_missing_file_is_an_error(capsys):
 def test_usage_error_from_argparse(doubled_types):
     with pytest.raises(SystemExit):
         main(["check", "--instance", doubled_types])
+
+
+@pytest.mark.parametrize("crash", [AssertionError("re-check failed"), MemoryError()])
+def test_unexpected_exception_exits_two(doubled_types, witness, capsys, monkeypatch, crash):
+    def handler(args):
+        raise crash
+
+    monkeypatch.setattr(cli, "_cmd_check", handler)
+    code = main(
+        ["check", "--instance", doubled_types, "--allocation", witness,
+         "--notion", "efx_wc"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert type(crash).__name__ in err
+    assert err.count("\n") == 1
+
+
+def test_cli_import_does_not_load_sympy():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, fairdual.cli; sys.exit('sympy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -5,14 +5,26 @@ values -16 / 4 / 1 come from the standalone scripts in tests/oracles/,
 which recompute them from scratch without importing the package.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairdual import shares
 from fairdual.criteria import OrientationError
 from fairdual.duality import dualize
-from fairdual.model import Allocation, BudgetExceededError, Instance, ItemType
+from fairdual.fixtures import load_fixture
+from fairdual.model import (
+    Allocation,
+    BudgetExceededError,
+    CertificateError,
+    Instance,
+    ItemType,
+    instance_from_json,
+)
 from fairdual.randgen import random_instance
 from fairdual.shares import (
     PriceVector,
@@ -94,6 +106,19 @@ def test_mms_budget_guard():
     instance = section_instance()
     with pytest.raises(BudgetExceededError):
         mms_share(instance, 0, budget=80)
+
+
+def test_mms_budget_is_checked_before_the_plan_is_built(monkeypatch):
+    # The l20 fixture has n = 41 and copies 20/21/20: its subset tuples
+    # alone would not fit in memory.
+    instance = load_fixture("eflwc-third-mms-l20").instance
+
+    def refuse(_):
+        raise AssertionError("plan built before the budget check")
+
+    monkeypatch.setattr(shares, "enumeration_plan", refuse)
+    with pytest.raises(BudgetExceededError):
+        mms_share(instance, 0, budget=10)
 
 
 def test_verify_mms_lower_bound_uses_witness_minimum():
@@ -281,3 +306,83 @@ def test_share_value_dispatch():
         instance, ShareSpec("aps", 0, entitlement=Fraction(1, 3))
     )
     assert aps.value <= 10
+
+
+def formerly_failing_instance():
+    """sympy's simplex raised "Oscillating system" on this instance."""
+    return instance_from_json(
+        {
+            "agents": 3,
+            "types": [
+                {"name": "t1", "copies": 1, "values": [3, 6, 8]},
+                {"name": "t2", "copies": 1, "values": [7, 9, 3]},
+                {"name": "t3", "copies": 2, "values": [4, 3, 7]},
+                {"name": "t4", "copies": 2, "values": [6, 3, 3]},
+                {"name": "t5", "copies": 2, "values": [2, 1, 5]},
+            ],
+        }
+    )
+
+
+def test_aps_formerly_failing_instance():
+    instance = formerly_failing_instance()
+    primal = aps_share(instance, 1, Fraction(1, 3))
+    assert primal.value == 6
+    assert instance.typeset_value(1) == 22
+    dual = dualize(instance).instance
+    assert aps_share(dual, 1, Fraction(2, 3)).value == -16
+
+    # Upper side: under the certificate prices no bundle worth more than 6
+    # fits the budget 1/3.
+    prices = primal.certificate
+    names = instance.type_names()
+    for size in range(len(names) + 1):
+        for chosen in itertools.combinations(names, size):
+            if prices.weight(chosen) <= Fraction(1, 3):
+                assert instance.bundle_value(1, chosen) <= 6
+
+    # Lower side: a cover of bundles worth at least 6, with weight 1/3 each,
+    # puts at most 1/3 on every type, so no prices exclude all of them.
+    cover = [
+        (Fraction(1, 3), {"t1"}),
+        (Fraction(1, 3), {"t2"}),
+        (Fraction(1, 3), {"t3", "t4"}),
+    ]
+    assert sum(w for w, _ in cover) == 1
+    assert all(instance.bundle_value(1, b) >= 6 for _, b in cover)
+    for name in names:
+        assert sum(w for w, b in cover if name in b) <= Fraction(1, 3)
+
+
+def test_aps_certificate_failure_is_an_error(monkeypatch):
+    monkeypatch.setattr(shares, "_best_within_budget", lambda *args: None)
+    with pytest.raises(CertificateError):
+        aps_share(formerly_failing_instance(), 1)
+
+
+@st.composite
+def goods_instances(draw):
+    n = draw(st.integers(2, 4))
+    free = draw(st.integers(3, 7))
+    forced = draw(st.integers(0, 1))
+    copies = [draw(st.integers(1, n - 1)) for _ in range(free)] + [n] * forced
+    value = st.builds(Fraction, st.integers(0, 12), st.integers(1, 3))
+    return Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
+        values=tuple(
+            tuple(draw(value) for _ in copies) for _ in range(n)
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(goods_instances(), st.data())
+def test_aps_property_on_random_goods(instance, data):
+    agent = data.draw(st.integers(0, instance.agents - 1))
+    b = Fraction(1, instance.agents)
+    value = aps_share(instance, agent, b).value
+    assert value <= prop_share(instance, agent)
+    dual = dualize(instance).instance
+    mirrored = aps_share(dual, agent, 1 - b).value
+    assert mirrored == value - instance.typeset_value(agent)
