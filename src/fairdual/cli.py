@@ -363,7 +363,10 @@ def _cmd_sweep(args) -> int:
             f"agents<={config.max_agents} types<={config.max_types} "
             f"(generator v{report.generator_version})"
         )
-        print(f"{report.allocations} allocations examined")
+        print(
+            f"{report.allocations} allocations examined, "
+            f"{report.skipped} instances skipped (plan over {config.plan_cap})"
+        )
         for s in report.stats:
             ratio = "-" if s.min_ratio is None else _display(s.min_ratio)
             print(f"  {s.notion:8s} passing {s.passing:8d}  min mms ratio {ratio}")

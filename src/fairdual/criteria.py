@@ -186,6 +186,13 @@ class FairnessReport:
         return "fair" if self.fair else "unfair"
 
 
+def require_orientation(instance: Instance, criterion: ComparisonCriterion) -> None:
+    if criterion.orientation == "goods" and not instance.goods_pure:
+        raise OrientationError("goods criterion on an instance that is not goods-pure")
+    if criterion.orientation == "chores" and not instance.chores_pure:
+        raise OrientationError("chores criterion on an instance that is not chores-pure")
+
+
 def is_fair(
     instance: Instance, allocation: Allocation, criterion: ComparisonCriterion
 ) -> FairnessReport:
@@ -196,10 +203,7 @@ def is_fair(
     lexicographic (envious, envied) order.
     """
     require_valid(instance, allocation)
-    if criterion.orientation == "goods" and not instance.goods_pure:
-        raise OrientationError("goods criterion on an instance that is not goods-pure")
-    if criterion.orientation == "chores" and not instance.chores_pure:
-        raise OrientationError("chores criterion on an instance that is not chores-pure")
+    require_orientation(instance, criterion)
     witnesses = []
     for i in range(instance.agents):
         valuation = {

@@ -22,6 +22,7 @@ from .model import (
     NotLeveledError,
     leveled_counterexample,
 )
+from .search import _agent_valuations
 
 
 def require_leveled(instance: Instance) -> None:
@@ -104,10 +105,7 @@ def solve_leveled_efxwc(instance: Instance) -> LeveledResult:
     """Find an allocation nobody EFX-envies after stripping shared types."""
     require_leveled(instance)
     criterion = ComparisonCriterion("efx", "goods", without_commons=True)
-    valuations = [
-        {t.name: instance.values[i][p] for p, t in enumerate(instance.types)}
-        for i in range(instance.agents)
-    ]
+    valuations = _agent_valuations(instance)
     initial = round_robin_init(instance)
     bundles = list(initial.bundles)
     ranks = _rank_tables(instance)

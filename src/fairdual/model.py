@@ -341,11 +341,6 @@ def is_leveled(instance: Instance, agent: int) -> bool:
     return leveled_counterexample(instance, agent) is None
 
 
-def leveled_profile(instance: Instance) -> tuple:
-    """Per-agent leveledness flags."""
-    return tuple(is_leveled(instance, i) for i in range(instance.agents))
-
-
 def instance_from_json(data, on_notice: Optional[Callable] = None) -> Instance:
     """Build an Instance from the JSON object layout.
 

@@ -11,17 +11,17 @@ whole plan).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Optional
 
-from .criteria import ComparisonCriterion, OrientationError, criterion_eval
+from .criteria import ComparisonCriterion, criterion_eval, require_orientation
 from .model import (
     Allocation,
     BudgetExceededError,
     Instance,
+    OrientationError,
     instance_from_json,
     instance_to_json,
 )
@@ -156,13 +156,6 @@ def _scan_range(args):
     return None
 
 
-def _verify_orientation(instance: Instance, criterion: ComparisonCriterion) -> None:
-    if criterion.orientation == "goods" and not instance.goods_pure:
-        raise OrientationError("goods criterion on an instance that is not goods-pure")
-    if criterion.orientation == "chores" and not instance.chores_pure:
-        raise OrientationError("chores criterion on an instance that is not chores-pure")
-
-
 def exists_fair(
     instance: Instance,
     criterion: ComparisonCriterion,
@@ -176,7 +169,7 @@ def exists_fair(
     is still the globally first one, so certificates do not depend on the
     worker count.
     """
-    _verify_orientation(instance, criterion)
+    require_orientation(instance, criterion)
     cap = DEFAULT_ENUM_CAP if budget is None else budget
     plan = enumeration_plan(instance)
     limit = min(plan.total, cap)
@@ -193,6 +186,8 @@ def exists_fair(
                 break
             index += 1
     else:
+        # Imported here: multiprocessing is heavy, and only --jobs needs it.
+        from concurrent.futures import ProcessPoolExecutor
         instance_json = instance_to_json(instance)
         chunk = max(1, math.ceil(limit / (jobs * 8)))
         tasks = [
@@ -243,7 +238,7 @@ def count_fair(
     Returns (count, first witness or None). Unlike exists_fair there is no
     early exit, so the count is exact for the full plan.
     """
-    _verify_orientation(instance, criterion)
+    require_orientation(instance, criterion)
     valuations = _agent_valuations(instance)
     count = 0
     witness: Optional[Allocation] = None

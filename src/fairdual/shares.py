@@ -1,10 +1,11 @@
 """Share-based fairness: proportional, maximin, truncated proportional, anyprice.
 
 All four shares are per-agent numbers an allocation can be measured
-against. PROP is linear, MMS is an exhaustive max-min over complete
-exclusive allocations, TPS truncates large items before averaging, and the
-anyprice share is the value an agent can guarantee by buying a bundle
-within an entitlement budget at adversarial prices.
+against. PROP is linear, MMS is an exact max-min over complete exclusive
+allocations taken up to bundle permutation, TPS truncates large items
+before averaging, and the anyprice share is the value an agent can
+guarantee by buying a bundle within an entitlement budget at adversarial
+prices.
 
 Anyprice prices live on the simplex over free types: types held by every
 agent are forced into each bundle, contribute their value as a constant,
@@ -15,9 +16,10 @@ program, solved by `exactlp.maximize`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .exactlp import maximize
@@ -30,12 +32,7 @@ from .model import (
     OrientationError,
     require_valid,
 )
-from .search import (
-    DEFAULT_ENUM_CAP,
-    _bundles_for_choice,
-    enumeration_plan,
-    plan_total,
-)
+from .search import DEFAULT_ENUM_CAP, plan_total
 
 SHARE_KINDS = ("prop", "mms", "tps", "aps")
 
@@ -106,11 +103,14 @@ def prop_share(instance: Instance, agent: int) -> Fraction:
 def mms_share(
     instance: Instance, agent: int, budget: Optional[int] = None
 ) -> ShareValue:
-    """Exact maximin share by exhausting every complete exclusive allocation.
+    """Exact maximin share by a dynamic program over bundle totals.
 
-    The certificate is a maximizing allocation. Raises BudgetExceededError
-    when the plan is larger than the budget; large instances go through
-    verify_mms_lower_bound with a hand-picked witness instead.
+    Allocations that permute bundles are equivalent, so a state is the
+    non-increasing tuple of bundle totals (the agent's row scaled to
+    integers), grown type by type. No layer outgrows its prefix plan, so a
+    plan over the budget raises BudgetExceededError before any work; large
+    instances go through verify_mms_lower_bound with a witness instead. The
+    maximizing allocation is re-verified; a mismatch is a CertificateError.
     """
     cap = DEFAULT_ENUM_CAP if budget is None else budget
     total = plan_total(instance)
@@ -119,25 +119,41 @@ def mms_share(
             f"maximin enumeration needs {total} allocations, budget {cap}; "
             "supply a witness to verify_mms_lower_bound instead"
         )
-    plan = enumeration_plan(instance)
-    row = instance.values[agent]
     n = instance.agents
-    # min bundle value can never beat the average, so stop at PROP.
-    ceiling = prop_share(instance, agent)
-    best: Optional[Fraction] = None
-    best_choice = None
-    for choice in product(*plan.subsets):
-        totals = [Fraction(0)] * n
-        for pos, holders in enumerate(choice):
-            for a in holders:
-                totals[a] += row[pos]
-        worst = min(totals)
-        if best is None or worst > best:
-            best, best_choice = worst, choice
-            if best == ceiling:
-                break
-    allocation = Allocation(_bundles_for_choice(instance, best_choice))
-    return ShareValue(value=best, certificate=allocation)
+    row = instance.values[agent]
+    scale = math.lcm(*(v.denominator for v in row))
+    ints = [int(v * scale) for v in row]
+    # layers[k] maps each state after k types to its (parent, holders).
+    layers = [{(0,) * n: None}]
+    for t, v in zip(instance.types, ints):
+        grown = {}
+        for state in layers[-1]:
+            for holders in combinations(range(n), t.copies):
+                totals = list(state)
+                for a in holders:
+                    totals[a] += v
+                key = tuple(sorted(totals, reverse=True))
+                if key not in grown:
+                    grown[key] = (state, holders)
+        layers.append(grown)
+    state = max(layers[-1], key=lambda s: s[-1])
+    value = Fraction(state[-1], scale)
+    path = []
+    for layer in reversed(layers[1:]):
+        state, holders = layer[state]
+        path.append(holders)
+    # Replay forward, keeping each (total, bundle) at its state position.
+    bundles = [(0, frozenset())] * n
+    for t, v, holders in zip(instance.types, ints, reversed(path)):
+        for a in holders:
+            total, names = bundles[a]
+            bundles[a] = (total + v, names | {t.name})
+        bundles.sort(key=lambda b: -b[0])
+    allocation = Allocation(tuple(names for _, names in bundles))
+    worst = verify_mms_lower_bound(instance, agent, allocation)
+    if worst != value:
+        raise CertificateError(f"maximin certificate re-verifies to {worst}, not {value}")
+    return ShareValue(value=value, certificate=allocation)
 
 
 def verify_mms_lower_bound(
@@ -168,7 +184,7 @@ def check_alpha_mms(
 ) -> AlphaMMSReport:
     """Does every agent get at least alpha times their maximin share?
 
-    Pass mms_values (one per agent) to skip the exhaustive computation,
+    Pass mms_values (one per agent) to skip the maximin computation,
     e.g. on fixtures whose shares are certified by witness partitions.
     """
     require_valid(instance, allocation)

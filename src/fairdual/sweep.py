@@ -15,15 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .criteria import (
-    BASES,
-    HIERARCHY_EDGES,
-    ComparisonCriterion,
-    criterion_eval,
-)
+from .criteria import BASES, HIERARCHY_EDGES, ComparisonCriterion
 from .model import Instance, format_rational, instance_to_json
 from .randgen import GENERATOR_VERSION, random_instance
-from .search import enumerate_allocations, plan_total
+from .search import _agent_valuations, _satisfies, enumerate_allocations, plan_total
 from .shares import mms_share
 
 # Every goods notion the sweep evaluates, strong to weak.
@@ -79,6 +74,7 @@ class SweepReport:
     config: SweepConfig
     generator_version: int
     instances: int
+    skipped: int  # instances drawn but not examined: plan over plan_cap
     allocations: int
     stats: tuple
     violations: tuple
@@ -98,6 +94,7 @@ class SweepReport:
             },
             "generator_version": self.generator_version,
             "instances": self.instances,
+            "skipped": self.skipped,
             "allocations": self.allocations,
             "notions": [
                 {
@@ -147,33 +144,23 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     min_index = {notion: None for notion in SWEEP_NOTIONS}
     violations = []
     total_allocations = 0
+    skipped = 0
     for index in range(config.count):
         instance = _sweep_instance(config, rng)
         if plan_total(instance) > config.plan_cap:
+            skipped += 1
             continue
-        valuations = [
-            {t.name: instance.values[i][p] for p, t in enumerate(instance.types)}
-            for i in range(instance.agents)
-        ]
+        valuations = _agent_valuations(instance)
         maximins = [
             mms_share(instance, agent, budget=config.plan_cap).value
             for agent in range(instance.agents)
         ]
         for allocation in enumerate_allocations(instance, budget=config.plan_cap):
             total_allocations += 1
-            verdict = {}
-            for notion, criterion in criteria.items():
-                verdict[notion] = all(
-                    criterion_eval(
-                        criterion,
-                        valuations[i],
-                        allocation.bundles[i],
-                        allocation.bundles[j],
-                    )
-                    for i in range(instance.agents)
-                    for j in range(instance.agents)
-                    if i != j
-                )
+            verdict = {
+                notion: _satisfies(instance, valuations, criterion, allocation.bundles)
+                for notion, criterion in criteria.items()
+            }
             for stronger, weaker in HIERARCHY_EDGES:
                 if verdict[stronger] and not verdict[weaker]:
                     violations.append(
@@ -229,6 +216,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         config=config,
         generator_version=GENERATOR_VERSION,
         instances=config.count,
+        skipped=skipped,
         allocations=total_allocations,
         stats=stats,
         violations=tuple(violations),

@@ -7,6 +7,7 @@ import pytest
 
 from fairdual import cli
 from fairdual.cli import main
+from fairdual.sweep import SweepConfig, run_sweep
 
 
 def write_json(path, payload):
@@ -232,6 +233,16 @@ def test_sweep_small(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["instances"] == 15
+    assert payload["skipped"] == 0
+
+
+def test_sweep_text_reports_skipped_instances(capsys):
+    code = main(["sweep", "--count", "15", "--seed", "3", "--plan-cap", "5"])
+    assert code == 0
+    out = capsys.readouterr().out
+    skipped = run_sweep(SweepConfig(seed=3, count=15, plan_cap=5)).skipped
+    assert skipped > 0
+    assert f"{skipped} instances skipped (plan over 5)" in out
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):
@@ -272,9 +283,22 @@ def test_unexpected_exception_exits_two(doubled_types, witness, capsys, monkeypa
     assert err.count("\n") == 1
 
 
-def test_cli_import_does_not_load_sympy():
+def _exit_code_after_cli_import(check):
+    """Import fairdual.cli in a fresh interpreter, then exit with `check`."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, fairdual.cli; sys.exit('sympy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = f"import sys, fairdual.cli; sys.exit({check})"
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+
+def test_cli_import_does_not_load_sympy():
+    assert _exit_code_after_cli_import("'sympy' in sys.modules") == 0
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    check = (
+        "'concurrent.futures.process' in sys.modules "
+        "or 'multiprocessing' in sys.modules"
+    )
+    assert _exit_code_after_cli_import(check) == 0

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairdual import shares
@@ -24,8 +24,10 @@ from fairdual.model import (
     Instance,
     ItemType,
     instance_from_json,
+    validate_allocation,
 )
 from fairdual.randgen import random_instance
+from fairdual.search import enumeration_plan, plan_total
 from fairdual.shares import (
     PriceVector,
     ShareSpec,
@@ -113,12 +115,79 @@ def test_mms_budget_is_checked_before_the_plan_is_built(monkeypatch):
     # alone would not fit in memory.
     instance = load_fixture("eflwc-third-mms-l20").instance
 
-    def refuse(_):
-        raise AssertionError("plan built before the budget check")
+    def refuse(*_):
+        raise AssertionError("holder sets enumerated before the budget check")
 
-    monkeypatch.setattr(shares, "enumeration_plan", refuse)
+    monkeypatch.setattr(shares, "combinations", refuse)
     with pytest.raises(BudgetExceededError):
         mms_share(instance, 0, budget=10)
+
+
+def test_mms_certificate_failure_is_an_error(monkeypatch):
+    monkeypatch.setattr(
+        shares, "verify_mms_lower_bound", lambda *args: Fraction(-1)
+    )
+    with pytest.raises(CertificateError):
+        mms_share(section_instance(), 0)
+
+
+def reference_mms_share(instance, agent):
+    """Maximin share by walking every allocation of the plan.
+
+    Stops early at PROP, which no minimum bundle value can beat.
+    """
+    plan = enumeration_plan(instance)
+    row = instance.values[agent]
+    ceiling = prop_share(instance, agent)
+    best = None
+    for choice in itertools.product(*plan.subsets):
+        totals = [Fraction(0)] * instance.agents
+        for pos, holders in enumerate(choice):
+            for a in holders:
+                totals[a] += row[pos]
+        worst = min(totals)
+        if best is None or worst > best:
+            best = worst
+            if best == ceiling:
+                break
+    return best
+
+
+@st.composite
+def signed_instances(draw):
+    """1-4 agents, 0-6 types; goods, chores or both; per-type denominators."""
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(0, 6))
+    copies = [draw(st.integers(1, n)) for _ in range(count)]
+    mode = draw(st.sampled_from([(1,), (-1,), (1, -1)]))  # goods, chores, mixed
+    signs = [draw(st.sampled_from(mode)) for _ in range(count)]
+    dens = [draw(st.integers(1, 7)) for _ in range(count)]
+    instance = Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
+        values=tuple(
+            tuple(
+                Fraction(sign * draw(st.integers(0, 12)), den)
+                for sign, den in zip(signs, dens)
+            )
+            for _ in range(n)
+        ),
+    )
+    assume(plan_total(instance) <= 3000)
+    return instance
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_instances(), st.data())
+def test_mms_matches_the_plan_walk(instance, data):
+    agent = data.draw(st.integers(0, instance.agents - 1))
+    result = mms_share(instance, agent)
+    assert result.value == reference_mms_share(instance, agent)
+    assert not validate_allocation(instance, result.certificate)
+    assert min(
+        instance.bundle_value(agent, b) for b in result.certificate.bundles
+    ) == result.value
+    assert result.value <= prop_share(instance, agent)
 
 
 def test_verify_mms_lower_bound_uses_witness_minimum():

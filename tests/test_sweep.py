@@ -56,3 +56,12 @@ def test_min_ratio_index_points_at_reproducible_instance():
         if stat.min_ratio is not None:
             assert stat.min_ratio_index is not None
             assert 0 <= stat.min_ratio_index < config.count
+
+
+def test_skipped_instances_are_reported():
+    full = run_sweep(SweepConfig(seed=5, count=40))
+    capped = run_sweep(SweepConfig(seed=5, count=40, plan_cap=20))
+    assert full.skipped == 0
+    assert 0 < capped.skipped < capped.instances == 40
+    assert capped.allocations < full.allocations
+    assert capped.to_json()["skipped"] == capped.skipped
