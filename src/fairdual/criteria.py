@@ -115,6 +115,14 @@ def _base_eval(base: str, valuation: dict, inside, outside) -> bool:
     raise ValueError(f"unknown base criterion {base!r}")
 
 
+def _agent_valuations(instance: Instance) -> list:
+    """Per agent, a dict from type name to that agent's value."""
+    return [
+        {t.name: instance.values[i][p] for p, t in enumerate(instance.types)}
+        for i in range(instance.agents)
+    ]
+
+
 def criterion_eval(
     criterion: ComparisonCriterion, valuation: dict, bundle_i, bundle_u
 ) -> bool:
@@ -134,7 +142,7 @@ def criterion_eval(
 
 
 def _offending_item(
-    criterion: ComparisonCriterion, instance: Instance, agent: int, bundle_i, bundle_u
+    criterion: ComparisonCriterion, instance: Instance, valuation, bundle_i, bundle_u
 ) -> Optional[str]:
     """For a failing pair, the item that demonstrates the failure, if any.
 
@@ -149,7 +157,6 @@ def _offending_item(
     outside = frozenset(bundle_u)
     if criterion.without_commons:
         inside, outside = inside - outside, outside - inside
-    valuation = {t.name: instance.values[agent][p] for p, t in enumerate(instance.types)}
     if criterion.orientation == "chores":
         valuation = {name: -v for name, v in valuation.items()}
         inside, outside = outside, inside
@@ -205,18 +212,14 @@ def is_fair(
     require_valid(instance, allocation)
     require_orientation(instance, criterion)
     witnesses = []
-    for i in range(instance.agents):
-        valuation = {
-            t.name: instance.values[i][p] for p, t in enumerate(instance.types)
-        }
+    bundles = allocation.bundles
+    for i, valuation in enumerate(_agent_valuations(instance)):
         for j in range(instance.agents):
-            if i == j:
-                continue
-            if not criterion_eval(
-                criterion, valuation, allocation.bundles[i], allocation.bundles[j]
+            if i != j and not criterion_eval(
+                criterion, valuation, bundles[i], bundles[j]
             ):
                 item = _offending_item(
-                    criterion, instance, i, allocation.bundles[i], allocation.bundles[j]
+                    criterion, instance, valuation, bundles[i], bundles[j]
                 )
                 witnesses.append(Witness(i, j, item))
     return FairnessReport(

@@ -12,9 +12,8 @@ caps the walk at n * |T|^2 steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .criteria import ComparisonCriterion, criterion_eval
+from .criteria import ComparisonCriterion, _agent_valuations
 from .model import (
     Allocation,
     FairdualError,
@@ -22,7 +21,7 @@ from .model import (
     NotLeveledError,
     leveled_counterexample,
 )
-from .search import _agent_valuations
+from .search import _first_unfair_pair
 
 
 def require_leveled(instance: Instance) -> None:
@@ -91,16 +90,6 @@ class LeveledResult:
     trace: tuple
 
 
-def _first_envious_pair(instance, valuations, bundles, criterion) -> Optional[tuple]:
-    for i in range(instance.agents):
-        for j in range(instance.agents):
-            if i != j and not criterion_eval(
-                criterion, valuations[i], bundles[i], bundles[j]
-            ):
-                return i, j
-    return None
-
-
 def solve_leveled_efxwc(instance: Instance) -> LeveledResult:
     """Find an allocation nobody EFX-envies after stripping shared types."""
     require_leveled(instance)
@@ -113,7 +102,7 @@ def solve_leveled_efxwc(instance: Instance) -> LeveledResult:
     limit = instance.agents * len(instance.types) ** 2
     trace = []
     while True:
-        pair = _first_envious_pair(instance, valuations, bundles, criterion)
+        pair = _first_unfair_pair(instance, valuations, criterion, bundles)
         if pair is None:
             break
         i, j = pair
@@ -145,6 +134,6 @@ def solve_leveled_efxwc(instance: Instance) -> LeveledResult:
     return LeveledResult(
         allocation=Allocation(tuple(bundles)),
         initial=initial,
-        initial_potential=potential(instance, initial),
+        initial_potential=_rank_sum(ranks, initial.bundles),
         trace=tuple(trace),
     )

@@ -2,10 +2,12 @@
 
 The enumeration strategy is deterministic and seedless: for each type,
 choose which agents receive a copy (subsets in lexicographic order), and
-walk the cartesian product with the first type most significant. Every
-certificate produced from it is therefore reproducible bit for bit, and
-"not exists" verdicts state how many allocations were examined (always the
-whole plan).
+walk the cartesian product with the first type most significant. One lazy
+walk serves every caller: it keeps one subset iterator per type and can
+start at any plan index, so memory does not grow with the plan and every
+budget is checked before any work. Every certificate produced from it is
+therefore reproducible bit for bit, and "not exists" verdicts state how
+many allocations were examined (always the whole plan).
 """
 
 from __future__ import annotations
@@ -13,29 +15,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Optional
 
-from .criteria import ComparisonCriterion, criterion_eval, require_orientation
-from .model import (
-    Allocation,
-    BudgetExceededError,
-    Instance,
-    OrientationError,
-    instance_from_json,
-    instance_to_json,
+from .criteria import (
+    ComparisonCriterion,
+    _agent_valuations,
+    criterion_eval,
+    require_orientation,
 )
+from .model import Allocation, BudgetExceededError, Instance, OrientationError
 
 # Hard default on allocations examined per exhaustive operation.
 DEFAULT_ENUM_CAP = 50_000_000
-
-
-@dataclass(frozen=True)
-class EnumerationPlan:
-    """Per-type agent-subset choices and the resulting allocation count."""
-
-    subsets: tuple  # one tuple of agent-index tuples per type
-    total: int
 
 
 def plan_total(instance: Instance) -> int:
@@ -43,20 +35,55 @@ def plan_total(instance: Instance) -> int:
     return math.prod(math.comb(instance.agents, t.copies) for t in instance.types)
 
 
-def enumeration_plan(instance: Instance) -> EnumerationPlan:
-    per_type = tuple(
-        tuple(combinations(range(instance.agents), t.copies)) for t in instance.types
-    )
-    return EnumerationPlan(subsets=per_type, total=plan_total(instance))
+def _holder_sets_from(n: int, k: int, rank: int) -> Iterator[tuple]:
+    """The k-subsets of range(n) in lexicographic order, from the one at `rank`."""
+    first = []
+    agent = 0
+    while len(first) < k:
+        below = math.comb(n - agent - 1, k - len(first) - 1)
+        if rank < below:
+            first.append(agent)
+        else:
+            rank -= below
+        agent += 1
+    # Later subsets share a prefix first[:p] and exceed first[p] at position p.
+    for p in reversed(range(k)):
+        head = tuple(first[:p])
+        for tail in combinations(range(first[p] + (p < k - 1), n), k - p):
+            yield head + tail
 
 
-def _bundles_for_choice(instance: Instance, choice) -> tuple:
-    bundles = [[] for _ in range(instance.agents)]
-    for pos, holders in enumerate(choice):
-        name = instance.types[pos].name
-        for agent in holders:
-            bundles[agent].append(name)
-    return tuple(frozenset(b) for b in bundles)
+def _walk(instance: Instance, start: int = 0) -> Iterator[tuple]:
+    """Yield each allocation's bundles in plan order, from plan index `start`."""
+    n = instance.agents
+    types = instance.types
+    digits = []
+    for t in reversed(types):
+        start, digit = divmod(start, math.comb(n, t.copies))
+        digits.append(digit)
+    if start:
+        return
+    digits.reverse()
+    subsets = [
+        _holder_sets_from(n, t.copies, digit) for t, digit in zip(types, digits)
+    ]
+    choice = [next(it) for it in subsets]
+    while True:
+        bundles = [[] for _ in range(n)]
+        for t, holders in zip(types, choice):
+            for agent in holders:
+                bundles[agent].append(t.name)
+        yield tuple(frozenset(b) for b in bundles)
+        # Odometer step: the last type turns fastest; a spent type restarts.
+        for pos in reversed(range(len(types))):
+            holders = next(subsets[pos], None)
+            if holders is not None:
+                choice[pos] = holders
+                break
+            subsets[pos] = combinations(range(n), types[pos].copies)
+            choice[pos] = next(subsets[pos])
+        else:
+            return
 
 
 def enumerate_allocations(
@@ -64,34 +91,26 @@ def enumerate_allocations(
 ) -> Iterator[Allocation]:
     """Stream every complete exclusive allocation in plan order.
 
+    The stream is lazy: nothing is built ahead of the allocation it yields.
     Raises BudgetExceededError if the stream would pass the budget
     (default DEFAULT_ENUM_CAP) with allocations still unvisited.
     """
     cap = DEFAULT_ENUM_CAP if budget is None else budget
-    plan = enumeration_plan(instance)
-    produced = 0
-    for choice in product(*plan.subsets):
+    for produced, bundles in enumerate(_walk(instance)):
         if produced >= cap:
             raise BudgetExceededError(
                 f"enumeration budget {cap} exhausted with allocations remaining "
-                f"(plan size {plan.total})"
+                f"(plan size {plan_total(instance)})"
             )
-        produced += 1
-        yield Allocation(_bundles_for_choice(instance, choice))
+        yield Allocation(bundles)
 
 
 def allocation_at(instance: Instance, index: int) -> Allocation:
-    """Decode the allocation at a given plan position (mixed radix)."""
-    plan = enumeration_plan(instance)
-    if not 0 <= index < plan.total:
-        raise IndexError(f"index {index} outside plan of size {plan.total}")
-    digits = []
-    remaining = index
-    for options in reversed(plan.subsets):
-        remaining, digit = divmod(remaining, len(options))
-        digits.append(options[digit])
-    choice = tuple(reversed(digits))
-    return Allocation(_bundles_for_choice(instance, choice))
+    """The allocation at a given plan position: the first step of the walk there."""
+    total = plan_total(instance)
+    if not 0 <= index < total:
+        raise IndexError(f"index {index} outside plan of size {total}")
+    return Allocation(next(_walk(instance, index)))
 
 
 @dataclass(frozen=True)
@@ -111,48 +130,23 @@ class ExistenceCertificate:
     plan_total: int
 
 
-def _agent_valuations(instance: Instance) -> list:
-    return [
-        {t.name: instance.values[i][p] for p, t in enumerate(instance.types)}
-        for i in range(instance.agents)
-    ]
-
-
-def _satisfies(instance, valuations, criterion, bundles) -> bool:
+def _first_unfair_pair(instance, valuations, criterion, bundles) -> Optional[tuple]:
+    """The first ordered pair (i, j) the criterion rejects, or None if fair."""
     for i in range(instance.agents):
         for j in range(instance.agents):
             if i != j and not criterion_eval(
                 criterion, valuations[i], bundles[i], bundles[j]
             ):
-                return False
-    return True
+                return i, j
+    return None
 
 
-def _scan_range(args):
-    """Worker: find the first fair allocation index in [start, stop)."""
-    instance_json, base, orientation, wc, start, stop = args
-    instance = instance_from_json(instance_json)
-    criterion = ComparisonCriterion(base, orientation, wc)
+def _first_fair(instance, criterion, start: int, stop: int) -> Optional[int]:
+    """The first plan index in [start, stop) whose allocation is fair, or None."""
     valuations = _agent_valuations(instance)
-    plan = enumeration_plan(instance)
-    # Re-derive the product cursor at `start` instead of shipping allocations.
-    radices = plan.subsets
-    digits = []
-    remaining = start
-    for options in reversed(radices):
-        remaining, digit = divmod(remaining, len(options))
-        digits.append(digit)
-    digits.reverse()
-    for index in range(start, stop):
-        choice = tuple(radices[pos][d] for pos, d in enumerate(digits))
-        bundles = _bundles_for_choice(instance, choice)
-        if _satisfies(instance, valuations, criterion, bundles):
+    for index, bundles in zip(range(start, stop), _walk(instance, start)):
+        if _first_unfair_pair(instance, valuations, criterion, bundles) is None:
             return index
-        for pos in range(len(digits) - 1, -1, -1):
-            digits[pos] += 1
-            if digits[pos] < len(radices[pos]):
-                break
-            digits[pos] = 0
     return None
 
 
@@ -165,66 +159,53 @@ def exists_fair(
     """Decide whether any complete exclusive allocation satisfies the criterion.
 
     Sweeps the plan in order; a refutation requires the full sweep. With
-    jobs > 1 the sweep is split over worker processes; the reported witness
-    is still the globally first one, so certificates do not depend on the
-    worker count.
+    jobs > 1 the sweep is split into index ranges over worker processes,
+    each walking its range the same way; the reported witness is still the
+    globally first one, so certificates do not depend on the worker count.
     """
     require_orientation(instance, criterion)
     cap = DEFAULT_ENUM_CAP if budget is None else budget
-    plan = enumeration_plan(instance)
-    limit = min(plan.total, cap)
+    total = plan_total(instance)
+    limit = min(total, cap)
     found: Optional[int] = None
     if jobs <= 1 or limit < 4096:
-        valuations = _agent_valuations(instance)
-        index = 0
-        for choice in product(*plan.subsets):
-            if index >= limit:
-                break
-            bundles = _bundles_for_choice(instance, choice)
-            if _satisfies(instance, valuations, criterion, bundles):
-                found = index
-                break
-            index += 1
+        found = _first_fair(instance, criterion, 0, limit)
     else:
         # Imported here: multiprocessing is heavy, and only --jobs needs it.
         from concurrent.futures import ProcessPoolExecutor
-        instance_json = instance_to_json(instance)
         chunk = max(1, math.ceil(limit / (jobs * 8)))
-        tasks = [
-            (
-                instance_json,
-                criterion.base,
-                criterion.orientation,
-                criterion.without_commons,
-                start,
-                min(start + chunk, limit),
-            )
-            for start in range(0, limit, chunk)
-        ]
+        starts = range(0, limit, chunk)
+        stops = [min(start + chunk, limit) for start in starts]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(_scan_range, tasks):
-                if result is not None:
-                    found = result
-                    break
+            results = pool.map(
+                _first_fair,
+                [instance] * len(starts),
+                [criterion] * len(starts),
+                starts,
+                stops,
+            )
+            found = next((r for r in results if r is not None), None)
+            # Ranges after the first fair one need not run.
+            pool.shutdown(cancel_futures=True)
     if found is not None:
         return ExistenceCertificate(
             exists=True,
             notion=criterion,
             witness=allocation_at(instance, found),
             checked=found + 1,
-            plan_total=plan.total,
+            plan_total=total,
         )
-    if limit < plan.total:
+    if limit < total:
         raise BudgetExceededError(
-            f"no fair allocation within budget {cap}; plan size {plan.total}, "
+            f"no fair allocation within budget {cap}; plan size {total}, "
             "cannot certify non-existence"
         )
     return ExistenceCertificate(
         exists=False,
         notion=criterion,
         witness=None,
-        checked=plan.total,
-        plan_total=plan.total,
+        checked=total,
+        plan_total=total,
     )
 
 
@@ -243,7 +224,8 @@ def count_fair(
     count = 0
     witness: Optional[Allocation] = None
     for allocation in enumerate_allocations(instance, budget=budget):
-        if _satisfies(instance, valuations, criterion, allocation.bundles):
+        bundles = allocation.bundles
+        if _first_unfair_pair(instance, valuations, criterion, bundles) is None:
             count += 1
             if witness is None:
                 witness = allocation

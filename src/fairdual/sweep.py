@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .criteria import BASES, HIERARCHY_EDGES, ComparisonCriterion
+from .criteria import BASES, HIERARCHY_EDGES, ComparisonCriterion, _agent_valuations
 from .model import Instance, format_rational, instance_to_json
 from .randgen import GENERATOR_VERSION, random_instance
-from .search import _agent_valuations, _satisfies, enumerate_allocations, plan_total
+from .search import _first_unfair_pair, enumerate_allocations, plan_total
 from .shares import mms_share
 
 # Every goods notion the sweep evaluates, strong to weak.
@@ -157,9 +157,10 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         ]
         for allocation in enumerate_allocations(instance, budget=config.plan_cap):
             total_allocations += 1
+            bundles = allocation.bundles
             verdict = {
-                notion: _satisfies(instance, valuations, criterion, allocation.bundles)
-                for notion, criterion in criteria.items()
+                notion: _first_unfair_pair(instance, valuations, c, bundles) is None
+                for notion, c in criteria.items()
             }
             for stronger, weaker in HIERARCHY_EDGES:
                 if verdict[stronger] and not verdict[weaker]:

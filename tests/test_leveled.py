@@ -69,6 +69,7 @@ def test_swap_potentials_strictly_increase():
         result = solve_leveled_efxwc(instance)
         levels = [result.initial_potential] + [s.potential for s in result.trace]
         assert all(a < b for a, b in zip(levels, levels[1:]))
+        assert potential(instance, result.initial) == levels[0]
         assert potential(instance, result.allocation) == levels[-1]
         seen_swaps += len(result.trace)
 

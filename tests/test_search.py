@@ -1,20 +1,39 @@
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from plan_reference import plan_bundles
 
-from fairdual.criteria import ComparisonCriterion, OrientationError, is_fair
+from fairdual import search
+from fairdual.criteria import BASES, ComparisonCriterion, OrientationError, is_fair
 from fairdual.duality import dualize
-from fairdual.model import Allocation, BudgetExceededError, Instance, ItemType, bundle
+from fairdual.fixtures import load_fixture
+from fairdual.model import (
+    Allocation,
+    BudgetExceededError,
+    Instance,
+    ItemType,
+    bundle,
+    instance_to_json,
+)
 from fairdual.randgen import random_instance
 from fairdual.search import (
+    _walk,
     allocation_at,
     check_chores_characterization,
     count_fair,
     enumerate_allocations,
-    enumeration_plan,
     exists_fair,
     max_nash_welfare,
+    plan_total,
 )
 
 
@@ -34,7 +53,7 @@ def section_instance():
 
 
 def test_plan_total_four_doubled_types():
-    assert enumeration_plan(section_instance()).total == 81
+    assert plan_total(section_instance()) == 81
 
 
 def test_plan_total_single_type():
@@ -44,7 +63,7 @@ def test_plan_total_single_type():
             types=(ItemType("a", 1),),
             values=tuple((Fraction(1),) for _ in range(n)),
         )
-        assert enumeration_plan(instance).total == n
+        assert plan_total(instance) == n
         assert len(list(enumerate_allocations(instance))) == n
 
 
@@ -84,7 +103,7 @@ def test_dual_stream_is_image_of_primal_stream():
         }
         direct = set(enumerate_allocations(dual_instance))
         assert mapped == direct
-        assert len(mapped) == enumeration_plan(instance).total
+        assert len(mapped) == plan_total(instance)
 
 
 def test_enumerate_budget_error():
@@ -129,6 +148,15 @@ def test_exists_budget_semantics():
         exists_fair(instance, ComparisonCriterion("efx", "goods"), budget=80)
 
 
+def single_copy_pair(row):
+    """Two agents with the same row over single-copy types: plan 2**len(row)."""
+    return Instance(
+        agents=2,
+        types=tuple(ItemType(f"g{k}", 1) for k in range(len(row))),
+        values=(tuple(map(Fraction, row)),) * 2,
+    )
+
+
 def test_parallel_certificate_matches_serial():
     instance = section_instance()
     for notion in (
@@ -138,6 +166,106 @@ def test_parallel_certificate_matches_serial():
         serial = exists_fair(instance, notion)
         parallel = exists_fair(instance, notion, jobs=2)
         assert serial == parallel
+    # 4096 allocations is the smallest plan that --jobs sends to workers.
+    witness_case = single_copy_pair([100] + [1] * 11)  # agent 0 holds g0 only
+    refuted_case = single_copy_pair([1] * 11 + [2])  # odd total: EF impossible
+    for instance, criterion, checked in (
+        (witness_case, ComparisonCriterion("efx", "goods"), 2048),
+        (refuted_case, ComparisonCriterion("ef", "goods"), 4096),
+    ):
+        assert plan_total(instance) == 4096
+        serial = exists_fair(instance, criterion, jobs=1)
+        assert serial.checked == checked
+        assert serial.exists == (checked < 4096)
+        assert exists_fair(instance, criterion, jobs=2) == serial
+
+
+@st.composite
+def small_goods_instances(draw):
+    """1-4 agents, 0-6 types, copies 1..n, small goods values."""
+    n = draw(st.integers(1, 4))
+    copies = draw(st.lists(st.integers(1, n), max_size=6))
+    instance = Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
+        values=tuple(
+            tuple(Fraction(draw(st.integers(0, 6))) for _ in copies) for _ in range(n)
+        ),
+    )
+    assume(plan_total(instance) <= 3000)
+    return instance
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_goods_instances(), st.data())
+def test_walk_matches_the_reference_plan(instance, data):
+    reference = list(plan_bundles(instance))
+    total = plan_total(instance)
+    assert len(reference) == total
+    assert [a.bundles for a in enumerate_allocations(instance)] == reference
+    for index in {0, total - 1, data.draw(st.integers(0, total - 1))}:
+        assert allocation_at(instance, index).bundles == reference[index]
+        assert list(_walk(instance, index)) == reference[index:]
+    with pytest.raises(IndexError):
+        allocation_at(instance, total)
+    criterion = ComparisonCriterion(
+        data.draw(st.sampled_from(BASES)), "goods", data.draw(st.booleans())
+    )
+    first = next(
+        (
+            index
+            for index, bundles in enumerate(reference)
+            if is_fair(instance, Allocation(bundles), criterion).fair
+        ),
+        None,
+    )
+    certificate = exists_fair(instance, criterion)
+    if first is None:
+        assert not certificate.exists and certificate.checked == total
+    else:
+        assert certificate.checked == first + 1
+        assert certificate.witness.bundles == reference[first]
+
+
+def l20_instance():
+    return load_fixture("eflwc-third-mms-l20").instance
+
+
+def test_l20_walk_is_lazy():
+    instance = l20_instance()
+    assert plan_total(instance) > 10**11
+    first = allocation_at(instance, 0)
+    assert len(first.bundles) == instance.agents
+    stream = enumerate_allocations(instance, budget=10)
+    assert len(list(islice(stream, 10))) == 10
+    with pytest.raises(BudgetExceededError):
+        next(stream)
+
+
+def test_l20_exists_stays_within_600_mb(tmp_path):
+    """The budget message, not a MemoryError, under a 600 MB address-space cap."""
+    path = tmp_path / "l20.json"
+    path.write_text(json.dumps(instance_to_json(l20_instance())))
+    limit = 600 * 2**20
+
+    def cap_memory():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "fairdual.cli", "exists", "--instance", str(path),
+         "--notion", "efx_wc", "--budget", "10"],
+        env=env,
+        preexec_fn=cap_memory,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 2
+    assert "no fair allocation within budget 10" in run.stderr
+    assert "MemoryError" not in run.stderr
 
 
 def test_exists_checks_orientation():

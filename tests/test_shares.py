@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from plan_reference import plan_choices
 
 from fairdual import shares
 from fairdual.criteria import OrientationError
@@ -27,7 +28,7 @@ from fairdual.model import (
     validate_allocation,
 )
 from fairdual.randgen import random_instance
-from fairdual.search import enumeration_plan, plan_total
+from fairdual.search import plan_total
 from fairdual.shares import (
     PriceVector,
     ShareSpec,
@@ -136,11 +137,10 @@ def reference_mms_share(instance, agent):
 
     Stops early at PROP, which no minimum bundle value can beat.
     """
-    plan = enumeration_plan(instance)
     row = instance.values[agent]
     ceiling = prop_share(instance, agent)
     best = None
-    for choice in itertools.product(*plan.subsets):
+    for choice in plan_choices(instance):
         totals = [Fraction(0)] * instance.agents
         for pos, holders in enumerate(choice):
             for a in holders:
