@@ -104,7 +104,7 @@ def _certificate_json(certificate, instance: Instance):
     if certificate is None:
         return None
     if isinstance(certificate, Allocation):
-        return {"bundles": _bundles_json(certificate, instance)}
+        return allocation_to_json(certificate, instance)
     if isinstance(certificate, PriceVector):
         return {
             "entitlement": format_rational(certificate.entitlement),
@@ -149,9 +149,7 @@ def _cmd_exists(args) -> int:
                 "notion": criterion.notion,
                 "orientation": criterion.orientation,
                 "count": count,
-                "witness": None
-                if witness is None
-                else {"bundles": _bundles_json(witness, instance)},
+                "witness": None if witness is None else allocation_to_json(witness, instance),
             }
             _emit(payload)
         else:
@@ -170,7 +168,7 @@ def _cmd_exists(args) -> int:
                 "plan_total": certificate.plan_total,
                 "witness": None
                 if certificate.witness is None
-                else {"bundles": _bundles_json(certificate.witness, instance)},
+                else allocation_to_json(certificate.witness, instance),
             }
         )
     else:
@@ -190,9 +188,7 @@ def _cmd_dualize(args) -> int:
     result = dualize(instance, allocation)
     payload = {"instance": instance_to_json(result.instance)}
     if result.allocation is not None:
-        payload["allocation"] = {
-            "bundles": _bundles_json(result.allocation, result.instance)
-        }
+        payload["allocation"] = allocation_to_json(result.allocation, result.instance)
     payload["dropped"] = [
         {
             "position": d.position,

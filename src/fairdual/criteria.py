@@ -11,13 +11,16 @@ rest of the family:
     B_I minus B_U against B_U minus B_I.
 
 The two modifiers commute, so applying strip-then-complement is exact.
+One helper, `_sides`, applies both to an ordered pair; every pair test
+(`criterion_eval` and the offending item of a failing pair) goes through it
+and then decides a goods base.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import (
     Allocation,
@@ -92,35 +95,28 @@ def criterion_for(
     return ComparisonCriterion(base, orientation, wc)
 
 
-def _base_eval(base: str, valuation: dict, inside, outside) -> bool:
-    """Evaluate a goods base criterion on already-prepared bundles."""
-    own = sum((valuation[g] for g in inside), Fraction(0))
-    other = sum((valuation[g] for g in outside), Fraction(0))
-    if base == "ef":
-        return own >= other
-    if base == "ef1":
-        if not outside:
-            return True
-        return own >= other - max(valuation[g] for g in outside)
-    if base == "efx":
-        if not outside:
-            return True
-        return own >= other - min(valuation[g] for g in outside)
-    if base == "efl":
-        if len(outside) <= 1:
-            return True
-        return any(
-            own >= other - valuation[g] and own >= valuation[g] for g in outside
-        )
-    raise ValueError(f"unknown base criterion {base!r}")
-
-
 def _agent_valuations(instance: Instance) -> list:
     """Per agent, a dict from type name to that agent's value."""
     return [
         {t.name: instance.values[i][p] for p, t in enumerate(instance.types)}
         for i in range(instance.agents)
     ]
+
+
+def _sides(criterion: ComparisonCriterion, valuation: dict, bundle_i, bundle_u) -> tuple:
+    """Prepare one ordered pair as a goods comparison: (values, own, other).
+
+    Strips the common types for a _wc criterion. For chores, takes the
+    complement: the negated values of the types in play, sides swapped.
+    """
+    own = frozenset(bundle_i)
+    other = frozenset(bundle_u)
+    if criterion.without_commons:
+        own, other = own - other, other - own
+    if criterion.orientation == "chores":
+        negated = {g: -valuation[g] for side in (own, other) for g in side}
+        return negated, other, own
+    return valuation, own, other
 
 
 def criterion_eval(
@@ -131,14 +127,21 @@ def criterion_eval(
     `valuation` maps type names to Fractions (one agent's values). True
     means fair for this ordered pair.
     """
-    inside = frozenset(bundle_i)
-    outside = frozenset(bundle_u)
-    if criterion.without_commons:
-        inside, outside = inside - outside, outside - inside
-    if criterion.orientation == "chores":
-        negated = {name: -v for name, v in valuation.items()}
-        return _base_eval(criterion.base, negated, outside, inside)
-    return _base_eval(criterion.base, valuation, inside, outside)
+    values, own, other = _sides(criterion, valuation, bundle_i, bundle_u)
+    mine = sum((values[g] for g in own), Fraction(0))
+    theirs = sum((values[g] for g in other), Fraction(0))
+    base = criterion.base
+    if base == "ef":
+        return mine >= theirs
+    if base == "efl":
+        return len(other) <= 1 or any(
+            mine >= theirs - values[g] and mine >= values[g] for g in other
+        )
+    if not other:
+        return True
+    if base == "ef1":
+        return mine >= theirs - max(values[g] for g in other)
+    return mine >= theirs - min(values[g] for g in other)
 
 
 def _offending_item(
@@ -146,27 +149,18 @@ def _offending_item(
 ) -> Optional[str]:
     """For a failing pair, the item that demonstrates the failure, if any.
 
-    Only the universally-quantified bases (EF, EFX) have a single
-    demonstrating item: the smallest-index item whose removal leaves the
-    agent envious. The existential bases (EF1, EFL) fail for every item, so
-    no single item is reported.
+    Only EFX reports one: the first type in instance order whose removal
+    from the other side still leaves the agent envious. EF removes nothing,
+    and the existential bases (EF1, EFL) fail for every item, so none of
+    them reports an item.
     """
-    if criterion.base not in ("ef", "efx"):
+    if criterion.base != "efx":
         return None
-    inside = frozenset(bundle_i)
-    outside = frozenset(bundle_u)
-    if criterion.without_commons:
-        inside, outside = inside - outside, outside - inside
-    if criterion.orientation == "chores":
-        valuation = {name: -v for name, v in valuation.items()}
-        inside, outside = outside, inside
-    own = sum((valuation[g] for g in inside), Fraction(0))
-    other = sum((valuation[g] for g in outside), Fraction(0))
-    if criterion.base == "ef":
-        # Nothing is removed; report no item.
-        return None
-    for name in sorted(outside, key=instance.position):
-        if own < other - valuation[name]:
+    values, own, other = _sides(criterion, valuation, bundle_i, bundle_u)
+    mine = sum((values[g] for g in own), Fraction(0))
+    theirs = sum((values[g] for g in other), Fraction(0))
+    for name in sorted(other, key=instance.position):
+        if mine < theirs - values[name]:
             return name
     return None
 
@@ -187,10 +181,6 @@ class FairnessReport:
     fair: bool
     notion: ComparisonCriterion
     witnesses: tuple = ()
-
-    @property
-    def verdict(self) -> str:
-        return "fair" if self.fair else "unfair"
 
 
 def require_orientation(instance: Instance, criterion: ComparisonCriterion) -> None:

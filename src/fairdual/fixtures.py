@@ -21,6 +21,7 @@ from .model import (
     FairdualError,
     Instance,
     allocation_from_json,
+    allocation_to_json,
     format_rational,
     instance_from_json,
     parse_rational,
@@ -131,7 +132,10 @@ def _claim_dual_allocation(fixture: Fixture, claim: dict, budget) -> ClaimResult
     result = dualize(fixture.instance, fixture.allocations[name])
     expected = Allocation(tuple(frozenset(b) for b in claim["expect"]))
     passed = result.allocation == expected
-    detail = "" if passed else f"dual bundles differ: {result.allocation.bundles}"
+    detail = ""
+    if not passed:
+        bundles = allocation_to_json(result.allocation, result.instance)["bundles"]
+        detail = f"dual bundles differ: {bundles}"
     return ClaimResult(fixture.id, f"dual of {name} matches", passed, detail)
 
 

@@ -1,4 +1,4 @@
-"""Local-search solver for leveled preferences.
+"""Leveled preferences: the leveledness check and a local-search solver.
 
 With leveled preferences (any larger bundle beats any smaller one) an
 allocation without commons envy always exists and a simple swap walk finds
@@ -12,16 +12,40 @@ caps the walk at n * |T|^2 steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
 
 from .criteria import ComparisonCriterion, _agent_valuations
-from .model import (
-    Allocation,
-    FairdualError,
-    Instance,
-    NotLeveledError,
-    leveled_counterexample,
-)
+from .model import Allocation, FairdualError, Instance, InstanceError, NotLeveledError
 from .search import _first_unfair_pair
+
+
+def leveled_counterexample(instance: Instance, agent: int) -> Optional[tuple]:
+    """Find a cardinality pair violating leveledness, or None.
+
+    A valuation is leveled when any larger bundle is strictly preferred to
+    any smaller one. Additivity reduces that to adjacent sizes: for every m,
+    the m+1 smallest values must sum strictly above the m largest. One
+    ascending sort and two running sums check every m; returns (m + 1, m)
+    for the first failing m.
+    """
+    ascending = sorted(instance.values[agent])
+    if ascending and ascending[0] < 0:
+        raise InstanceError(
+            f"agent {agent} has negative values; leveledness is a goods notion"
+        )
+    smallest = largest = Fraction(0)
+    for m, value in enumerate(ascending):
+        smallest += value
+        if not smallest > largest:
+            return (m + 1, m)
+        largest += ascending[-1 - m]
+    return None
+
+
+def is_leveled(instance: Instance, agent: int) -> bool:
+    """Whether the agent strictly prefers any larger bundle to any smaller one."""
+    return leveled_counterexample(instance, agent) is None
 
 
 def require_leveled(instance: Instance) -> None:

@@ -98,9 +98,6 @@ class ItemType:
     copies: int
 
 
-Bundle = frozenset
-
-
 def bundle(*names: str) -> frozenset:
     """Convenience constructor for a bundle of type names."""
     return frozenset(names)
@@ -253,9 +250,6 @@ class Allocation:
     def of(*bundles: Iterable) -> "Allocation":
         return Allocation(tuple(frozenset(b) for b in bundles))
 
-    def bundle(self, agent: int) -> frozenset:
-        return self.bundles[agent]
-
     def __len__(self) -> int:
         return len(self.bundles)
 
@@ -310,35 +304,6 @@ def require_valid(instance: Instance, allocation: Allocation) -> None:
         raise InstanceError(
             "; ".join(v.message for v in problems)
         )
-
-
-def leveled_counterexample(instance: Instance, agent: int):
-    """Find a cardinality pair violating leveledness, or None.
-
-    A valuation is leveled when any larger bundle is strictly preferred to
-    any smaller one. Additivity reduces that to adjacent sizes: for every m,
-    the m+1 smallest values must sum strictly above the m largest. Returns
-    (m + 1, m) for the first failing m.
-    """
-    row = instance.values[agent]
-    for v in row:
-        if v < 0:
-            raise InstanceError(
-                f"agent {agent} has negative values; leveledness is a goods notion"
-            )
-    ascending = sorted(row)
-    descending = sorted(row, reverse=True)
-    for m in range(len(row)):
-        smallest = sum(ascending[: m + 1], Fraction(0))
-        largest = sum(descending[:m], Fraction(0))
-        if not smallest > largest:
-            return (m + 1, m)
-    return None
-
-
-def is_leveled(instance: Instance, agent: int) -> bool:
-    """Whether the agent strictly prefers any larger bundle to any smaller one."""
-    return leveled_counterexample(instance, agent) is None
 
 
 def instance_from_json(data, on_notice: Optional[Callable] = None) -> Instance:
@@ -436,10 +401,5 @@ def allocation_to_json(allocation: Allocation, instance: Optional[Instance] = No
 
     With an instance, names follow its type order; otherwise alphabetical.
     """
-    if instance is not None:
-        key = instance.position
-    else:
-        key = None
-    return {
-        "bundles": [sorted(b, key=key) if key else sorted(b) for b in allocation.bundles]
-    }
+    key = None if instance is None else instance.position
+    return {"bundles": [sorted(b, key=key) for b in allocation.bundles]}

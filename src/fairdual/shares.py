@@ -46,14 +46,11 @@ class ShareSpec:
 
     kind: str
     agent: int
-    alpha: Fraction = Fraction(1)
     entitlement: Optional[Fraction] = None
 
     def __post_init__(self):
         if self.kind not in SHARE_KINDS:
             raise ValueError(f"unknown share kind {self.kind!r}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
         if self.entitlement is not None and not 0 < self.entitlement < 1:
             raise ValueError("entitlement must lie strictly between 0 and 1")
         if self.entitlement is not None and self.kind != "aps":
@@ -85,12 +82,6 @@ class PriceVector:
             raise ValueError(f"prices sum to {total}, not 1")
         if any(w < 0 for _, w in self.prices):
             raise ValueError("negative price")
-
-    def price(self, name: str) -> Fraction:
-        for t, w in self.prices:
-            if t == name:
-                return w
-        return Fraction(0)
 
     def weight(self, bundle) -> Fraction:
         return sum((w for t, w in self.prices if t in bundle), Fraction(0))

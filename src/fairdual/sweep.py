@@ -21,10 +21,11 @@ from .randgen import GENERATOR_VERSION, random_instance
 from .search import _first_unfair_pair, enumerate_allocations, plan_total
 from .shares import mms_share
 
-# Every goods notion the sweep evaluates, strong to weak.
-SWEEP_NOTIONS = tuple(
-    base + suffix for base in BASES for suffix in ("", "_wc")
+# Every goods criterion the sweep evaluates: each base, plain then without commons.
+SWEEP_CRITERIA = tuple(
+    ComparisonCriterion(base, "goods", wc) for base in BASES for wc in (False, True)
 )
+SWEEP_NOTIONS = tuple(c.notion for c in SWEEP_CRITERIA)
 
 # Proven per-notion maximin guarantees the sweep must never undercut.
 BOUND_FLOORS = {
@@ -133,12 +134,6 @@ def _sweep_instance(config: SweepConfig, rng: random.Random) -> Instance:
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Execute the sweep described by the config."""
     rng = random.Random(config.seed)
-    criteria = {
-        notion: ComparisonCriterion(
-            notion.replace("_wc", ""), "goods", notion.endswith("_wc")
-        )
-        for notion in SWEEP_NOTIONS
-    }
     passing = {notion: 0 for notion in SWEEP_NOTIONS}
     min_ratio = {notion: None for notion in SWEEP_NOTIONS}
     min_index = {notion: None for notion in SWEEP_NOTIONS}
@@ -159,8 +154,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             total_allocations += 1
             bundles = allocation.bundles
             verdict = {
-                notion: _first_unfair_pair(instance, valuations, c, bundles) is None
-                for notion, c in criteria.items()
+                c.notion: _first_unfair_pair(instance, valuations, c, bundles) is None
+                for c in SWEEP_CRITERIA
             }
             for stronger, weaker in HIERARCHY_EDGES:
                 if verdict[stronger] and not verdict[weaker]:

@@ -283,13 +283,18 @@ def test_unexpected_exception_exits_two(doubled_types, witness, capsys, monkeypa
     assert err.count("\n") == 1
 
 
-def _exit_code_after_cli_import(check):
-    """Import fairdual.cli in a fresh interpreter, then exit with `check`."""
-    env = dict(os.environ)
+def _fresh_env(**extra):
+    """The environment for a fresh interpreter that imports this fairdual."""
+    env = dict(os.environ, **extra)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _exit_code_after_cli_import(check):
+    """Import fairdual.cli in a fresh interpreter, then exit with `check`."""
     code = f"import sys, fairdual.cli; sys.exit({check})"
-    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+    return subprocess.run([sys.executable, "-c", code], env=_fresh_env()).returncode
 
 
 def test_cli_import_does_not_load_sympy():
@@ -302,3 +307,16 @@ def test_cli_import_does_not_load_multiprocessing():
         "or 'multiprocessing' in sys.modules"
     )
     assert _exit_code_after_cli_import(check) == 0
+
+
+def test_replicate_all_json_does_not_depend_on_the_hash_seed():
+    outputs = []
+    for seed in ("0", "1"):
+        run = subprocess.run(
+            [sys.executable, "-m", "fairdual.cli", "replicate", "--all", "--json"],
+            env=_fresh_env(PYTHONHASHSEED=seed),
+            capture_output=True,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from fairdual.fixtures import (
@@ -6,7 +8,7 @@ from fairdual.fixtures import (
     replicate,
     replicate_all,
 )
-from fairdual.model import FairdualError
+from fairdual.model import FairdualError, format_rational, parse_rational
 
 
 def test_corpus_lists_known_ids():
@@ -50,3 +52,40 @@ def test_replicate_all_covers_corpus():
     assert set(r.fixture for r in by_fixture) == set(fixture_ids())
     assert all(r.passed for r in by_fixture)
     assert len(by_fixture) == 50
+
+
+def _shifted(value) -> str:
+    return str(format_rational(parse_rational(value) + 1))
+
+
+def _flipped(claim: dict) -> dict:
+    """The same claim with a wrong expectation."""
+    claim = dict(claim)
+    kind = claim["kind"]
+    if kind == "dual_allocation":
+        claim["expect"] = claim["expect"][1:] + claim["expect"][:1]
+    elif kind == "cancel_cycle":
+        claim["expect"] = claim["allocation"]
+    elif kind == "mnw":
+        claim["welfare"] = _shifted(claim["welfare"])
+    elif kind == "alpha_bound_via_prop":
+        claim["alpha"] = _shifted(claim["alpha"])
+    elif isinstance(claim["expect"], bool):
+        claim["expect"] = not claim["expect"]
+    else:
+        claim["expect"] = _shifted(claim["expect"])
+    return claim
+
+
+def test_every_fixture_claim_fails_with_a_wrong_expectation():
+    for fixture_id in fixture_ids():
+        fixture = load_fixture(fixture_id)
+        for claim in fixture.claims:
+            wrong = _flipped(claim)
+            assert wrong != claim
+            (result,) = replicate(replace(fixture, claims=(wrong,)))
+            assert result.passed is False, (fixture_id, claim)
+            assert result.detail, (fixture_id, claim)
+            if claim["kind"] == "dual_allocation":
+                # Bundles render in instance type order, whatever the hash seed.
+                assert result.detail == f"dual bundles differ: {claim['expect']}"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fairdual.leveled import is_leveled, leveled_counterexample
 from fairdual.model import (
     Allocation,
     Instance,
@@ -15,8 +16,6 @@ from fairdual.model import (
     format_rational,
     instance_from_json,
     instance_to_json,
-    is_leveled,
-    leveled_counterexample,
     parse_rational,
     require_valid,
     validate_allocation,
