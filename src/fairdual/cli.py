@@ -303,7 +303,7 @@ def _cmd_replicate(args) -> int:
     for fixture_id in ids:
         fixture = fixture_corpus.load_fixture(fixture_id)
         all_results.append((fixture_id, fixture_corpus.replicate(fixture, budget)))
-    failed = False
+    failed = any(not r.passed for _, results in all_results for r in results)
     if args.json:
         _emit(
             {
@@ -324,14 +324,10 @@ def _cmd_replicate(args) -> int:
                 ],
             }
         )
-        failed = any(
-            not r.passed for _, results in all_results for r in results
-        )
     else:
         for fixture_id, results in all_results:
             bad = [r for r in results if not r.passed]
             if bad:
-                failed = True
                 print(f"FAIL {fixture_id} ({len(results)} claims)")
                 for r in bad:
                     detail = f": {r.detail}" if r.detail else ""

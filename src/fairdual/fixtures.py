@@ -29,6 +29,7 @@ from .model import (
 from .search import exists_fair, max_nash_welfare
 from .shares import (
     ShareSpec,
+    check_alpha_mms,
     check_aps_entitlement_duality,
     prop_share,
     share_value,
@@ -68,14 +69,14 @@ def fixture_ids() -> tuple:
 
 
 def load_fixture(fixture_id: str) -> Fixture:
-    path = _data_root() / (fixture_id + ".json")
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
+    """Load a bundled fixture; only the ids of `fixture_ids()` are accepted."""
+    known = fixture_ids()
+    if fixture_id not in known:
         raise FairdualError(
-            f"unknown fixture {fixture_id!r}; known ids: {', '.join(fixture_ids())}"
-        ) from None
-    data = json.loads(raw)
+            f"unknown fixture {fixture_id!r}; known ids: {', '.join(known)}"
+        )
+    path = _data_root() / (fixture_id + ".json")
+    data = json.loads(path.read_text(encoding="utf-8"))
     instance = instance_from_json(data["instance"])
     allocations = {
         name: allocation_from_json(payload)
@@ -90,29 +91,45 @@ def load_fixture(fixture_id: str) -> Fixture:
     )
 
 
-def _witness_pairs(report) -> list:
-    return [[w.envious, w.envied] for w in report.witnesses]
+def _view(fixture: Fixture, claim: dict) -> tuple:
+    """The claim's instance and named allocation; for `dual_*` kinds, their duals."""
+    name = claim.get("allocation")
+    allocation = None if name is None else fixture.allocations[name]
+    if not claim["kind"].startswith("dual_"):
+        return fixture.instance, allocation
+    dual = dualize(fixture.instance, allocation)
+    return dual.instance, dual.allocation
 
 
-def _claim_is_fair(fixture: Fixture, claim: dict, budget) -> ClaimResult:
+def _exact(value: Fraction, expect) -> tuple:
+    """(passed, detail) for a claim that `value` is exactly the rational `expect`."""
+    passed = value == parse_rational(expect)
+    return passed, "" if passed else f"got {format_rational(value)}"
+
+
+def _claim_is_fair(fixture: Fixture, claim: dict, budget) -> tuple:
     name = claim["allocation"]
+    instance, allocation = _view(fixture, claim)
     notion = claim["notion"]
-    criterion = criterion_for(fixture.instance, notion, claim.get("orientation"))
-    report = is_fair(fixture.instance, fixture.allocations[name], criterion)
+    criterion = criterion_for(instance, notion, claim.get("orientation"))
+    report = is_fair(instance, allocation, criterion)
     passed = report.fair == claim["expect"]
     detail = ""
     if passed and "witnesses" in claim:
-        pairs = _witness_pairs(report)
+        pairs = [[w.envious, w.envied] for w in report.witnesses]
         if pairs != claim["witnesses"]:
             passed = False
             detail = f"witnesses {pairs} != {claim['witnesses']}"
     elif not passed:
         detail = f"expected fair={claim['expect']}, got {report.fair}"
     verb = "satisfies" if claim["expect"] else "violates"
-    return ClaimResult(fixture.id, f"{name} {verb} {notion}", passed, detail)
+    description = f"{name} {verb} {notion}"
+    if claim["kind"] == "dual_is_fair":
+        description = f"dual of {description} on the dual instance"
+    return description, passed, detail
 
 
-def _claim_exists(fixture: Fixture, claim: dict, budget) -> ClaimResult:
+def _claim_exists(fixture: Fixture, claim: dict, budget) -> tuple:
     notion = claim["notion"]
     criterion = criterion_for(fixture.instance, notion, claim.get("orientation"))
     certificate = exists_fair(fixture.instance, criterion, budget=budget)
@@ -124,37 +141,20 @@ def _claim_exists(fixture: Fixture, claim: dict, budget) -> ClaimResult:
     elif not passed:
         detail = f"expected exists={claim['expect']}, got {certificate.exists}"
     kind = "admits" if claim["expect"] else "refutes"
-    return ClaimResult(fixture.id, f"instance {kind} {notion}", passed, detail)
+    return f"instance {kind} {notion}", passed, detail
 
 
-def _claim_dual_allocation(fixture: Fixture, claim: dict, budget) -> ClaimResult:
+def _claim_dual_allocation(fixture: Fixture, claim: dict, budget) -> tuple:
     name = claim["allocation"]
-    result = dualize(fixture.instance, fixture.allocations[name])
+    instance, allocation = _view(fixture, claim)
     expected = Allocation(tuple(frozenset(b) for b in claim["expect"]))
-    passed = result.allocation == expected
-    detail = ""
-    if not passed:
-        bundles = allocation_to_json(result.allocation, result.instance)["bundles"]
-        detail = f"dual bundles differ: {bundles}"
-    return ClaimResult(fixture.id, f"dual of {name} matches", passed, detail)
+    passed = allocation == expected
+    bundles = allocation_to_json(allocation, instance)["bundles"]
+    detail = "" if passed else f"dual bundles differ: {bundles}"
+    return f"dual of {name} matches", passed, detail
 
 
-def _claim_dual_is_fair(fixture: Fixture, claim: dict, budget) -> ClaimResult:
-    name = claim["allocation"]
-    notion = claim["notion"]
-    result = dualize(fixture.instance, fixture.allocations[name])
-    criterion = criterion_for(result.instance, notion, claim.get("orientation"))
-    report = is_fair(result.instance, result.allocation, criterion)
-    passed = report.fair == claim["expect"]
-    verb = "satisfies" if claim["expect"] else "violates"
-    detail = "" if passed else f"expected fair={claim['expect']}, got {report.fair}"
-    return ClaimResult(
-        fixture.id, f"dual of {name} {verb} {notion} on the dual instance",
-        passed, detail,
-    )
-
-
-def _claim_cancel_cycle(fixture: Fixture, claim: dict, budget) -> ClaimResult:
+def _claim_cancel_cycle(fixture: Fixture, claim: dict, budget) -> tuple:
     name = claim["allocation"]
     before = fixture.allocations[name]
     after = cancel_envy_cycle(fixture.instance, before, claim["cycle"])
@@ -170,135 +170,94 @@ def _claim_cancel_cycle(fixture: Fixture, claim: dict, budget) -> ClaimResult:
                 detail = f"agent {agent} does not strictly gain"
                 break
     cycle = "-".join(str(a) for a in claim["cycle"])
-    return ClaimResult(
-        fixture.id, f"cancelling cycle {cycle} on {name} gives {claim['expect']}",
-        passed, detail,
+    return (
+        f"cancelling cycle {cycle} on {name} gives {claim['expect']}", passed, detail
     )
 
 
-def _claim_mnw(fixture: Fixture, claim: dict, budget) -> ClaimResult:
+def _claim_mnw(fixture: Fixture, claim: dict, budget) -> tuple:
     best, welfare = max_nash_welfare(fixture.instance, budget=budget)
     expected = fixture.allocations[claim["expect"]]
-    target = parse_rational(claim["welfare"])
-    passed = best == expected and welfare == target
+    passed = best == expected and welfare == parse_rational(claim["welfare"])
     detail = ""
     if not passed:
         detail = f"welfare {format_rational(welfare)}, target {claim['welfare']}"
-    return ClaimResult(
-        fixture.id,
+    return (
         f"Nash welfare maximum is {claim['expect']} with welfare {claim['welfare']}",
         passed, detail,
     )
 
 
-def _claim_share(fixture: Fixture, claim: dict, budget) -> ClaimResult:
+def _claim_share(fixture: Fixture, claim: dict, budget) -> tuple:
+    instance, _ = _view(fixture, claim)
     entitlement = claim.get("entitlement")
     spec = ShareSpec(
         kind=claim["share"],
         agent=claim["agent"],
         entitlement=None if entitlement is None else parse_rational(entitlement),
     )
-    result = share_value(fixture.instance, spec, budget=budget)
-    target = parse_rational(claim["expect"])
-    passed = result.value == target
-    detail = "" if passed else f"got {format_rational(result.value)}"
-    return ClaimResult(
-        fixture.id,
-        f"{claim['share']} share of agent {claim['agent']} is {claim['expect']}",
-        passed, detail,
-    )
+    value = share_value(instance, spec, budget=budget).value
+    dual = "dual " if claim["kind"] == "dual_share" else ""
+    description = f"{dual}{claim['share']} share of agent {claim['agent']}"
+    return (f"{description} is {claim['expect']}", *_exact(value, claim["expect"]))
 
 
-def _claim_dual_share(fixture: Fixture, claim: dict, budget) -> ClaimResult:
-    dual = dualize(fixture.instance).instance
-    entitlement = claim.get("entitlement")
-    spec = ShareSpec(
-        kind=claim["share"],
-        agent=claim["agent"],
-        entitlement=None if entitlement is None else parse_rational(entitlement),
-    )
-    result = share_value(dual, spec, budget=budget)
-    target = parse_rational(claim["expect"])
-    passed = result.value == target
-    detail = "" if passed else f"got {format_rational(result.value)}"
-    return ClaimResult(
-        fixture.id,
-        f"dual {claim['share']} share of agent {claim['agent']} is {claim['expect']}",
-        passed, detail,
-    )
-
-
-def _claim_mms_lower_bound(fixture: Fixture, claim: dict, budget) -> ClaimResult:
+def _claim_mms_lower_bound(fixture: Fixture, claim: dict, budget) -> tuple:
     witness = fixture.allocations[claim["witness"]]
     bound = verify_mms_lower_bound(fixture.instance, claim["agent"], witness)
-    target = parse_rational(claim["expect"])
-    passed = bound == target
-    detail = "" if passed else f"got {format_rational(bound)}"
-    return ClaimResult(
-        fixture.id,
+    return (
         f"witness gives agent {claim['agent']} a maximin bound of {claim['expect']}",
-        passed, detail,
+        *_exact(bound, claim["expect"]),
     )
 
 
-def _claim_value_ratio(fixture: Fixture, claim: dict, budget) -> ClaimResult:
+def _claim_value_ratio(fixture: Fixture, claim: dict, budget) -> tuple:
     agent = claim["agent"]
     allocation = fixture.allocations[claim["allocation"]]
     value = fixture.instance.bundle_value(agent, allocation.bundles[agent])
-    ratio = value / parse_rational(claim["share"])
-    target = parse_rational(claim["expect"])
-    passed = ratio == target
-    detail = "" if passed else f"got {format_rational(ratio)}"
-    return ClaimResult(
-        fixture.id,
+    return (
         f"agent {agent}'s value is {claim['expect']} of the {claim['share']} share",
-        passed, detail,
+        *_exact(value / parse_rational(claim["share"]), claim["expect"]),
     )
 
 
-def _claim_alpha_bound_via_prop(fixture: Fixture, claim: dict, budget) -> ClaimResult:
-    allocation = fixture.allocations[claim["allocation"]]
-    alpha = parse_rational(claim["alpha"])
+def _claim_alpha_bound_via_prop(fixture: Fixture, claim: dict, budget) -> tuple:
+    instance = fixture.instance
+    report = check_alpha_mms(
+        instance,
+        fixture.allocations[claim["allocation"]],
+        parse_rational(claim["alpha"]),
+        mms_values=[prop_share(instance, i) for i in range(instance.agents)],
+    )
     excluded = set(claim.get("exclude", []))
-    failing = []
-    for agent in range(fixture.instance.agents):
-        if agent in excluded:
-            continue
-        value = fixture.instance.bundle_value(agent, allocation.bundles[agent])
-        if value < alpha * prop_share(fixture.instance, agent):
-            failing.append(agent)
-    passed = not failing
-    detail = "" if passed else f"agents below the bound: {failing}"
-    return ClaimResult(
-        fixture.id,
+    failing = [agent for agent in report.failing if agent not in excluded]
+    detail = f"agents below the bound: {failing}" if failing else ""
+    return (
         f"remaining agents clear {claim['alpha']} of their proportional share",
-        passed, detail,
+        not failing, detail,
     )
 
 
-def _claim_aps_entitlement_duality(fixture, claim, budget) -> ClaimResult:
+def _claim_aps_entitlement_duality(fixture, claim, budget) -> tuple:
     allocation = fixture.allocations[claim["allocation"]]
     ok = check_aps_entitlement_duality(
         fixture.instance, allocation, parse_rational(claim["entitlement"])
     )
     passed = ok == claim["expect"]
     detail = "" if passed else f"checker returned {ok}"
-    return ClaimResult(
-        fixture.id,
-        f"entitlement duality holds at {claim['entitlement']}",
-        passed, detail,
-    )
+    return f"entitlement duality holds at {claim['entitlement']}", passed, detail
 
 
+# Claim kind -> evaluator returning (description, passed, detail).
 _CLAIM_EVALUATORS = {
     "is_fair": _claim_is_fair,
     "exists": _claim_exists,
     "dual_allocation": _claim_dual_allocation,
-    "dual_is_fair": _claim_dual_is_fair,
+    "dual_is_fair": _claim_is_fair,
     "cancel_cycle": _claim_cancel_cycle,
     "mnw": _claim_mnw,
     "share": _claim_share,
-    "dual_share": _claim_dual_share,
+    "dual_share": _claim_share,
     "mms_lower_bound": _claim_mms_lower_bound,
     "value_ratio": _claim_value_ratio,
     "alpha_bound_via_prop": _claim_alpha_bound_via_prop,
@@ -316,7 +275,7 @@ def replicate(fixture: Fixture, budget: Optional[int] = None) -> tuple:
             raise FairdualError(
                 f"fixture {fixture.id}: unknown claim kind {claim.get('kind')!r}"
             ) from None
-        results.append(evaluator(fixture, claim, budget))
+        results.append(ClaimResult(fixture.id, *evaluator(fixture, claim, budget)))
     return tuple(results)
 
 

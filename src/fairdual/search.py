@@ -13,6 +13,7 @@ many allocations were examined (always the whole plan).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -96,13 +97,20 @@ def enumerate_allocations(
     (default DEFAULT_ENUM_CAP) with allocations still unvisited.
     """
     cap = DEFAULT_ENUM_CAP if budget is None else budget
-    for produced, bundles in enumerate(_walk(instance)):
-        if produced >= cap:
-            raise BudgetExceededError(
-                f"enumeration budget {cap} exhausted with allocations remaining "
-                f"(plan size {plan_total(instance)})"
-            )
+    for _, bundles in zip(range(cap), _walk(instance)):
         yield Allocation(bundles)
+    _require_within_budget(instance, budget)
+
+
+def _require_within_budget(instance: Instance, budget: Optional[int]) -> None:
+    """Refuse a plan larger than the budget (default DEFAULT_ENUM_CAP)."""
+    cap = DEFAULT_ENUM_CAP if budget is None else budget
+    total = plan_total(instance)
+    if total > cap:
+        raise BudgetExceededError(
+            f"enumeration budget {cap} exhausted with allocations remaining "
+            f"(plan size {total})"
+        )
 
 
 def allocation_at(instance: Instance, index: int) -> Allocation:
@@ -167,6 +175,8 @@ def exists_fair(
     cap = DEFAULT_ENUM_CAP if budget is None else budget
     total = plan_total(instance)
     limit = min(total, cap)
+    # A pool forks all its workers at once; more than the CPUs cannot help.
+    jobs = min(jobs, os.cpu_count() or 1)
     found: Optional[int] = None
     if jobs <= 1 or limit < 4096:
         found = _first_fair(instance, criterion, 0, limit)
@@ -220,6 +230,7 @@ def count_fair(
     early exit, so the count is exact for the full plan.
     """
     require_orientation(instance, criterion)
+    _require_within_budget(instance, budget)
     valuations = _agent_valuations(instance)
     count = 0
     witness: Optional[Allocation] = None
@@ -270,6 +281,7 @@ def max_nash_welfare(
     """
     if not instance.goods_pure:
         raise OrientationError("Nash welfare maximization expects a goods-pure instance")
+    _require_within_budget(instance, budget)
     best: Optional[Allocation] = None
     best_value: Optional[Fraction] = None
     for allocation in enumerate_allocations(instance, budget=budget):

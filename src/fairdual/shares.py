@@ -341,20 +341,16 @@ def aps_share(
     values = _subset_sums([row[p] for p in free_positions])
     thresholds = sorted(set(values))
     # Exclusion is monotone in the threshold: find the last non-excludable.
-    lo, hi = 0, len(thresholds) - 1
+    # thresholds[0] never is (every bundle qualifies); hi starts past the end.
+    lo, hi = 0, len(thresholds)
     prices_at_cut = None
-    excl_hi, prices_hi = _excludable(values, f, thresholds[hi], b, orientation)
-    if not excl_hi:
-        lo = hi
-    else:
-        prices_at_cut = prices_hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            excl, prices = _excludable(values, f, thresholds[mid], b, orientation)
-            if excl:
-                hi, prices_at_cut = mid, prices
-            else:
-                lo = mid
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        excl, prices = _excludable(values, f, thresholds[mid], b, orientation)
+        if excl:
+            hi, prices_at_cut = mid, prices
+        else:
+            lo = mid
     free_value = thresholds[lo]
     names = [instance.types[p].name for p in free_positions]
     if prices_at_cut is None:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from fairdual import cli
+from fairdual import cli, fixtures
 from fairdual.cli import main
 from fairdual.sweep import SweepConfig, run_sweep
 
@@ -96,10 +96,11 @@ def test_exists_respects_env_cap(doubled_types, capsys, monkeypatch):
     monkeypatch.setenv("FAIRDUAL_ENUM_CAP", "10")
     code = main(["exists", "--instance", doubled_types, "--notion", "efx"])
     assert code == 2
-    assert "budget" in capsys.readouterr().err.lower() or True
+    assert "no fair allocation within budget 10" in capsys.readouterr().err
     monkeypatch.setenv("FAIRDUAL_ENUM_CAP", "not-a-number")
     code = main(["exists", "--instance", doubled_types, "--notion", "efx"])
     assert code == 2
+    assert "FAIRDUAL_ENUM_CAP must be an integer" in capsys.readouterr().err
 
 
 def test_explicit_budget_flag_beats_env(doubled_types, monkeypatch, capsys):
@@ -217,6 +218,16 @@ def test_replicate_single_and_unknown(capsys):
     code = main(["replicate", "no-such-fixture"])
     assert code == 2
     assert "no-such-fixture" in capsys.readouterr().err
+
+
+def test_replicate_refuses_a_path_outside_the_corpus(tmp_path, capsys):
+    root = fixtures._data_root()
+    copy = tmp_path / "copied.json"
+    copy.write_text((root / "tps-trio.json").read_text(encoding="utf-8"))
+    outside = os.path.relpath(tmp_path / "copied", root)
+    assert outside.startswith("..")
+    assert main(["replicate", outside]) == 2
+    assert "unknown fixture" in capsys.readouterr().err
 
 
 def test_replicate_all_prints_one_line_per_fixture(capsys):

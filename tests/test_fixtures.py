@@ -89,3 +89,18 @@ def test_every_fixture_claim_fails_with_a_wrong_expectation():
             if claim["kind"] == "dual_allocation":
                 # Bundles render in instance type order, whatever the hash seed.
                 assert result.detail == f"dual bundles differ: {claim['expect']}"
+
+
+def test_a_claim_without_its_allocation_raises():
+    """Primal and dual claims alike refuse to evaluate a missing allocation."""
+    fixture = load_fixture("no-efx-four-types")
+    claims = [claim for claim in fixture.claims if "allocation" in claim]
+    assert {claim["kind"] for claim in claims} == {
+        "is_fair", "dual_allocation", "dual_is_fair"
+    }
+    for claim in claims:
+        unknown = dict(claim, allocation="no-such-allocation")
+        unnamed = {k: v for k, v in claim.items() if k != "allocation"}
+        for wrong in (unknown, unnamed):
+            with pytest.raises(KeyError):
+                replicate(replace(fixture, claims=(wrong,)))

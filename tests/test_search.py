@@ -180,6 +180,61 @@ def test_parallel_certificate_matches_serial():
         assert exists_fair(instance, criterion, jobs=2) == serial
 
 
+def test_jobs_is_capped_at_the_cpu_count(monkeypatch):
+    """No pool gets more workers than CPUs; the certificate stays the same."""
+    import concurrent.futures
+
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    instance = single_copy_pair([1] * 11 + [2])
+    criterion = ComparisonCriterion("ef", "goods")
+    assert plan_total(instance) == 4096
+    serial = exists_fair(instance, criterion, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert exists_fair(instance, criterion, jobs=10_000) == serial
+    assert workers == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert exists_fair(instance, criterion, jobs=10_000) == serial
+    assert workers == [3]
+
+
+def test_whole_plan_consumers_refuse_before_walking(monkeypatch):
+    instance = section_instance()
+    criterion = ComparisonCriterion("efx", "goods", without_commons=True)
+
+    def no_walk(*args):
+        raise AssertionError("walked a plan larger than the budget")
+
+    monkeypatch.setattr(search, "_walk", no_walk)
+    message = (
+        r"enumeration budget 80 exhausted with allocations remaining \(plan size 81\)"
+    )
+    with pytest.raises(BudgetExceededError, match=message):
+        count_fair(instance, criterion, budget=80)
+    with pytest.raises(BudgetExceededError, match=message):
+        max_nash_welfare(instance, budget=80)
+    monkeypatch.undo()
+    assert count_fair(instance, criterion, budget=81) == count_fair(instance, criterion)
+    assert max_nash_welfare(instance, budget=81) == max_nash_welfare(instance)
+
+
 @st.composite
 def small_goods_instances(draw):
     """1-4 agents, 0-6 types, copies 1..n, small goods values."""

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from aps_reference import reference_aps_share
 from hypothesis import strategies as st
 from plan_reference import plan_choices
 
@@ -455,3 +456,28 @@ def test_aps_property_on_random_goods(instance, data):
     dual = dualize(instance).instance
     mirrored = aps_share(dual, agent, 1 - b).value
     assert mirrored == value - instance.typeset_value(agent)
+
+
+@st.composite
+def sign_pure_instances(draw):
+    """2-4 agents, 0-6 types with copies 1..n; goods or chores, zeros and ties."""
+    n = draw(st.integers(2, 4))
+    copies = draw(st.lists(st.integers(1, n), max_size=6))
+    sign = draw(st.sampled_from((1, -1)))
+    value = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
+    return Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
+        values=tuple(tuple(sign * draw(value) for _ in copies) for _ in range(n)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(sign_pure_instances(), st.data())
+def test_aps_search_matches_the_reference(instance, data):
+    """Same value and same certificate prices as the probe-the-top search."""
+    agent = data.draw(st.integers(0, instance.agents - 1))
+    for entitlement in (None, Fraction(1, 3), Fraction(2, 3)):
+        assert aps_share(instance, agent, entitlement) == reference_aps_share(
+            instance, agent, entitlement
+        )
