@@ -11,15 +11,17 @@ rest of the family:
     B_I minus B_U against B_U minus B_I.
 
 The two modifiers commute, so applying strip-then-complement is exact.
-One helper, `_sides`, applies both to an ordered pair; every pair test
-(`criterion_eval` and the offending item of a failing pair) goes through it
-and then decides a goods base.
+
+Pair tests run on integers: `_rows` scales each agent's row by the LCM of
+its denominators (a positive factor, so no comparison changes) and negates
+it for chores, and a bundle is a mask with bit p set for the type at
+position p. `criterion_eval` strips with `a & ~b` / `b & ~a`, swaps the
+sides for chores and decides a goods base on the row's entries at the bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .model import (
@@ -27,6 +29,7 @@ from .model import (
     Instance,
     NotACycleError,
     OrientationError,
+    _integer_row,
     require_valid,
 )
 
@@ -95,73 +98,82 @@ def criterion_for(
     return ComparisonCriterion(base, orientation, wc)
 
 
-def _agent_valuations(instance: Instance) -> list:
-    """Per agent, a dict from type name to that agent's value."""
-    return [
-        {t.name: instance.values[i][p] for p, t in enumerate(instance.types)}
-        for i in range(instance.agents)
-    ]
+def _rows(instance: Instance, orientation: str = "goods") -> tuple:
+    """Per agent, the integer row (negated for chores), and the row scales."""
+    sign = -1 if orientation == "chores" else 1
+    compiled = [_integer_row(values) for values in instance.values]
+    return [[sign * v for v in row] for row, _ in compiled], [s for _, s in compiled]
 
 
-def _sides(criterion: ComparisonCriterion, valuation: dict, bundle_i, bundle_u) -> tuple:
-    """Prepare one ordered pair as a goods comparison: (values, own, other).
+def _entries(row, mask: int) -> list:
+    """The row's entries at the set bits of mask, lowest bit first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(row[low.bit_length() - 1])
+        mask ^= low
+    return out
 
-    Strips the common types for a _wc criterion. For chores, takes the
-    complement: the negated values of the types in play, sides swapped.
+
+def _bits(mask: int) -> list:
+    """Positions of the set bits of mask, lowest first (instance order)."""
+    return _entries(range(mask.bit_length()), mask)
+
+
+def _masks(instance: Instance, bundles) -> list:
+    """Each bundle of type names as a mask."""
+    return [sum(1 << instance.index[name] for name in b) for b in bundles]
+
+
+def _bundles(instance: Instance, masks) -> tuple:
+    """Each mask as a bundle: a frozenset of type names."""
+    return tuple(frozenset(_entries(instance.type_names(), m)) for m in masks)
+
+
+def criterion_eval(criterion: ComparisonCriterion, row, mask_i: int, mask_u: int) -> bool:
+    """Whether the criterion accepts mask_i against mask_u for the agent of `row`.
+
+    `row` comes from `_rows` for the criterion's orientation.
     """
-    own = frozenset(bundle_i)
-    other = frozenset(bundle_u)
     if criterion.without_commons:
-        own, other = own - other, other - own
+        mask_i, mask_u = mask_i & ~mask_u, mask_u & ~mask_i
     if criterion.orientation == "chores":
-        negated = {g: -valuation[g] for side in (own, other) for g in side}
-        return negated, other, own
-    return valuation, own, other
-
-
-def criterion_eval(
-    criterion: ComparisonCriterion, valuation: dict, bundle_i, bundle_u
-) -> bool:
-    """Decide whether the criterion accepts bundle_i against bundle_u.
-
-    `valuation` maps type names to Fractions (one agent's values). True
-    means fair for this ordered pair.
-    """
-    values, own, other = _sides(criterion, valuation, bundle_i, bundle_u)
-    mine = sum((values[g] for g in own), Fraction(0))
-    theirs = sum((values[g] for g in other), Fraction(0))
+        mask_i, mask_u = mask_u, mask_i
+    mine = sum(_entries(row, mask_i))
+    other = _entries(row, mask_u)
+    theirs = sum(other)
     base = criterion.base
     if base == "ef":
         return mine >= theirs
     if base == "efl":
-        return len(other) <= 1 or any(
-            mine >= theirs - values[g] and mine >= values[g] for g in other
-        )
+        return len(other) <= 1 or any(mine >= theirs - v and mine >= v for v in other)
     if not other:
         return True
     if base == "ef1":
-        return mine >= theirs - max(values[g] for g in other)
-    return mine >= theirs - min(values[g] for g in other)
+        return mine >= theirs - max(other)
+    return mine >= theirs - min(other)
 
 
 def _offending_item(
-    criterion: ComparisonCriterion, instance: Instance, valuation, bundle_i, bundle_u
+    criterion: ComparisonCriterion, instance: Instance, row, mask_i: int, mask_u: int
 ) -> Optional[str]:
     """For a failing pair, the item that demonstrates the failure, if any.
 
-    Only EFX reports one: the first type in instance order whose removal
-    from the other side still leaves the agent envious. EF removes nothing,
-    and the existential bases (EF1, EFL) fail for every item, so none of
-    them reports an item.
+    Only EFX reports one: the first type in instance order (lowest bit)
+    whose removal from the other side still leaves the agent envious. EF
+    removes nothing, and the existential bases (EF1, EFL) fail for every
+    item, so none of them reports an item.
     """
     if criterion.base != "efx":
         return None
-    values, own, other = _sides(criterion, valuation, bundle_i, bundle_u)
-    mine = sum((values[g] for g in own), Fraction(0))
-    theirs = sum((values[g] for g in other), Fraction(0))
-    for name in sorted(other, key=instance.position):
-        if mine < theirs - values[name]:
-            return name
+    if criterion.without_commons:
+        mask_i, mask_u = mask_i & ~mask_u, mask_u & ~mask_i
+    if criterion.orientation == "chores":
+        mask_i, mask_u = mask_u, mask_i
+    gap = sum(_entries(row, mask_u)) - sum(_entries(row, mask_i))
+    for p in _bits(mask_u):
+        if row[p] < gap:
+            return instance.types[p].name
     return None
 
 
@@ -201,16 +213,13 @@ def is_fair(
     """
     require_valid(instance, allocation)
     require_orientation(instance, criterion)
+    rows, _ = _rows(instance, criterion.orientation)
+    masks = _masks(instance, allocation.bundles)
     witnesses = []
-    bundles = allocation.bundles
-    for i, valuation in enumerate(_agent_valuations(instance)):
-        for j in range(instance.agents):
-            if i != j and not criterion_eval(
-                criterion, valuation, bundles[i], bundles[j]
-            ):
-                item = _offending_item(
-                    criterion, instance, valuation, bundles[i], bundles[j]
-                )
+    for i, row in enumerate(rows):
+        for j, mask in enumerate(masks):
+            if i != j and not criterion_eval(criterion, row, masks[i], mask):
+                item = _offending_item(criterion, instance, row, masks[i], mask)
                 witnesses.append(Witness(i, j, item))
     return FairnessReport(
         fair=not witnesses, notion=criterion, witnesses=tuple(witnesses)

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .model import FairdualError
+from .model import FairdualError, _integer_row
 
 
 class LPError(FairdualError):
@@ -38,13 +37,6 @@ class LPError(FairdualError):
 class LPResult:
     optimum: Fraction
     solution: tuple
-
-
-def _integer_row(values) -> tuple:
-    """The values times the least common multiple of their denominators, and that multiple."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 class _Tableau:

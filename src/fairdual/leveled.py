@@ -12,11 +12,17 @@ caps the walk at n * |T|^2 steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .criteria import ComparisonCriterion, _agent_valuations
-from .model import Allocation, FairdualError, Instance, InstanceError, NotLeveledError
+from .criteria import ComparisonCriterion, _bits, _bundles, _masks, _rows
+from .model import (
+    Allocation,
+    FairdualError,
+    Instance,
+    InstanceError,
+    NotLeveledError,
+    _integer_row,
+)
 from .search import _first_unfair_pair
 
 
@@ -26,15 +32,15 @@ def leveled_counterexample(instance: Instance, agent: int) -> Optional[tuple]:
     A valuation is leveled when any larger bundle is strictly preferred to
     any smaller one. Additivity reduces that to adjacent sizes: for every m,
     the m+1 smallest values must sum strictly above the m largest. One
-    ascending sort and two running sums check every m; returns (m + 1, m)
-    for the first failing m.
+    ascending sort of the integer row and two running sums check every m;
+    returns (m + 1, m) for the first failing m.
     """
-    ascending = sorted(instance.values[agent])
+    ascending = sorted(_integer_row(instance.values[agent])[0])
     if ascending and ascending[0] < 0:
         raise InstanceError(
             f"agent {agent} has negative values; leveledness is a goods notion"
         )
-    smallest = largest = Fraction(0)
+    smallest = largest = 0
     for m, value in enumerate(ascending):
         smallest += value
         if not smallest > largest:
@@ -71,30 +77,25 @@ def round_robin_init(instance: Instance) -> Allocation:
     return Allocation(tuple(frozenset(b) for b in bundles))
 
 
-def _rank_tables(instance: Instance) -> list:
-    """Ordinal position of each type per agent: worst good is 1."""
-    tables = []
-    for agent in range(instance.agents):
-        row = instance.values[agent]
-        order = sorted(range(len(row)), key=lambda pos: (row[pos], pos))
-        ranks = {instance.types[pos].name: rank + 1 for rank, pos in enumerate(order)}
-        tables.append(ranks)
-    return tables
+def _rank_tables(rows) -> list:
+    """Per agent, each type position's ordinal by value: worst good is 1."""
+    orders = [sorted(range(len(row)), key=lambda p: (row[p], p)) for row in rows]
+    return [{pos: rank + 1 for rank, pos in enumerate(order)} for order in orders]
 
 
-def _rank_sum(ranks, bundles) -> int:
-    low = min(len(b) for b in bundles)
+def _rank_sum(ranks, masks) -> int:
+    low = min(m.bit_count() for m in masks)
     return sum(
-        ranks[i][g]
-        for i in range(len(bundles))
-        if len(bundles[i]) == low
-        for g in bundles[i]
+        ranks[i][p]
+        for i, m in enumerate(masks)
+        if m.bit_count() == low
+        for p in _bits(m)
     )
 
 
 def potential(instance: Instance, allocation: Allocation) -> int:
     """Rank-sum of the lower-level bundles (all bundles if one level)."""
-    return _rank_sum(_rank_tables(instance), allocation.bundles)
+    return _rank_sum(_rank_tables(_rows(instance)[0]), _masks(instance, allocation.bundles))
 
 
 @dataclass(frozen=True)
@@ -118,46 +119,43 @@ def solve_leveled_efxwc(instance: Instance) -> LeveledResult:
     """Find an allocation nobody EFX-envies after stripping shared types."""
     require_leveled(instance)
     criterion = ComparisonCriterion("efx", "goods", without_commons=True)
-    valuations = _agent_valuations(instance)
+    rows, _ = _rows(instance)
     initial = round_robin_init(instance)
-    bundles = list(initial.bundles)
-    ranks = _rank_tables(instance)
-    index = {t.name: p for p, t in enumerate(instance.types)}
+    start = _masks(instance, initial.bundles)
+    masks = start.copy()
+    ranks = _rank_tables(rows)
+    names = instance.type_names()
     limit = instance.agents * len(instance.types) ** 2
     trace = []
     while True:
-        pair = _first_unfair_pair(instance, valuations, criterion, bundles)
+        pair = _first_unfair_pair(rows, criterion, masks)
         if pair is None:
             break
         i, j = pair
-        if len(bundles[i]) >= len(bundles[j]):
+        if masks[i].bit_count() >= masks[j].bit_count():
             raise FairdualError(
                 f"envious agent {i} is not below agent {j}; instance is not leveled"
             )
-        only_j = bundles[j] - bundles[i]
-        only_i = bundles[i] - bundles[j]
-        row = valuations[i]
-        g_max = max(only_j, key=lambda g: (row[g], -index[g]))
-        g_min = min(only_i, key=lambda g: (row[g], index[g]))
+        row = rows[i]
+        g_max = max(_bits(masks[j] & ~masks[i]), key=lambda p: (row[p], -p))
+        g_min = min(_bits(masks[i] & ~masks[j]), key=lambda p: (row[p], p))
         assert row[g_max] > row[g_min], "swap would not improve the envious agent"
-        bundles[i] = (bundles[i] - {g_min}) | {g_max}
-        bundles[j] = (bundles[j] - {g_max}) | {g_min}
-        trace.append(
-            Swap(
-                envious=i,
-                envied=j,
-                gained=g_max,
-                lost=g_min,
-                potential=_rank_sum(ranks, bundles),
-            )
-        )
+        swap = 1 << g_max | 1 << g_min
+        masks[i] ^= swap
+        masks[j] ^= swap
+        trace.append(Swap(i, j, names[g_max], names[g_min], _rank_sum(ranks, masks)))
         if len(trace) > limit:
             raise FairdualError(
                 f"swap walk exceeded the {limit}-step potential bound"
             )
+    # Bundles that end where they started stay the frozensets of `initial`.
+    bundles = [
+        b if m == m0 else _bundles(instance, [m])[0]
+        for b, m0, m in zip(initial.bundles, start, masks)
+    ]
     return LeveledResult(
         allocation=Allocation(tuple(bundles)),
         initial=initial,
-        initial_potential=_rank_sum(ranks, initial.bundles),
+        initial_potential=_rank_sum(ranks, start),
         trace=tuple(trace),
     )

@@ -9,6 +9,7 @@ it is complete when each type appears in exactly k_t bundles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -81,6 +82,12 @@ def parse_rational(value) -> Fraction:
             f"float {value!r} rejected; write it as a decimal string"
         )
     raise InstanceError(f"not a rational: {value!r}")
+
+
+def _integer_row(values) -> tuple:
+    """Rationals times the least common multiple of their denominators, and that multiple."""
+    scale = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def format_rational(value: Fraction):

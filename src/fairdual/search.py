@@ -8,6 +8,10 @@ start at any plan index, so memory does not grow with the plan and every
 budget is checked before any work. Every certificate produced from it is
 therefore reproducible bit for bit, and "not exists" verdicts state how
 many allocations were examined (always the whole plan).
+
+The walk yields per-agent type masks and XORs a changed type's bit into its
+old and new holders only. Existence, counting and Nash welfare run on those
+masks and on integer rows, and decode only the allocation they report.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from typing import Iterator, Optional
 
 from .criteria import (
     ComparisonCriterion,
-    _agent_valuations,
+    _bundles,
+    _entries,
+    _rows,
     criterion_eval,
     require_orientation,
 )
@@ -55,7 +61,7 @@ def _holder_sets_from(n: int, k: int, rank: int) -> Iterator[tuple]:
 
 
 def _walk(instance: Instance, start: int = 0) -> Iterator[tuple]:
-    """Yield each allocation's bundles in plan order, from plan index `start`."""
+    """Yield each allocation's per-agent masks in plan order, from plan index `start`."""
     n = instance.agents
     types = instance.types
     digits = []
@@ -69,20 +75,21 @@ def _walk(instance: Instance, start: int = 0) -> Iterator[tuple]:
         _holder_sets_from(n, t.copies, digit) for t, digit in zip(types, digits)
     ]
     choice = [next(it) for it in subsets]
+    masks = [sum(1 << p for p, h in enumerate(choice) if a in h) for a in range(n)]
     while True:
-        bundles = [[] for _ in range(n)]
-        for t, holders in zip(types, choice):
-            for agent in holders:
-                bundles[agent].append(t.name)
-        yield tuple(frozenset(b) for b in bundles)
+        yield tuple(masks)
         # Odometer step: the last type turns fastest; a spent type restarts.
         for pos in reversed(range(len(types))):
             holders = next(subsets[pos], None)
+            if holders is None:
+                subsets[pos] = combinations(range(n), types[pos].copies)
+            new = holders or next(subsets[pos])
+            # The bit flips for the old and the new holders; one in both keeps it.
+            for agent in choice[pos] + new:
+                masks[agent] ^= 1 << pos
+            choice[pos] = new
             if holders is not None:
-                choice[pos] = holders
                 break
-            subsets[pos] = combinations(range(n), types[pos].copies)
-            choice[pos] = next(subsets[pos])
         else:
             return
 
@@ -97,8 +104,8 @@ def enumerate_allocations(
     (default DEFAULT_ENUM_CAP) with allocations still unvisited.
     """
     cap = DEFAULT_ENUM_CAP if budget is None else budget
-    for _, bundles in zip(range(cap), _walk(instance)):
-        yield Allocation(bundles)
+    for _, masks in zip(range(cap), _walk(instance)):
+        yield Allocation(_bundles(instance, masks))
     _require_within_budget(instance, budget)
 
 
@@ -118,7 +125,7 @@ def allocation_at(instance: Instance, index: int) -> Allocation:
     total = plan_total(instance)
     if not 0 <= index < total:
         raise IndexError(f"index {index} outside plan of size {total}")
-    return Allocation(next(_walk(instance, index)))
+    return Allocation(_bundles(instance, next(_walk(instance, index))))
 
 
 @dataclass(frozen=True)
@@ -138,22 +145,21 @@ class ExistenceCertificate:
     plan_total: int
 
 
-def _first_unfair_pair(instance, valuations, criterion, bundles) -> Optional[tuple]:
+def _first_unfair_pair(rows, criterion, masks) -> Optional[tuple]:
     """The first ordered pair (i, j) the criterion rejects, or None if fair."""
-    for i in range(instance.agents):
-        for j in range(instance.agents):
-            if i != j and not criterion_eval(
-                criterion, valuations[i], bundles[i], bundles[j]
-            ):
+    for i, row in enumerate(rows):
+        own = masks[i]
+        for j, other in enumerate(masks):
+            if i != j and not criterion_eval(criterion, row, own, other):
                 return i, j
     return None
 
 
 def _first_fair(instance, criterion, start: int, stop: int) -> Optional[int]:
     """The first plan index in [start, stop) whose allocation is fair, or None."""
-    valuations = _agent_valuations(instance)
-    for index, bundles in zip(range(start, stop), _walk(instance, start)):
-        if _first_unfair_pair(instance, valuations, criterion, bundles) is None:
+    rows, _ = _rows(instance, criterion.orientation)
+    for index, masks in zip(range(start, stop), _walk(instance, start)):
+        if _first_unfair_pair(rows, criterion, masks) is None:
             return index
     return None
 
@@ -177,7 +183,6 @@ def exists_fair(
     limit = min(total, cap)
     # A pool forks all its workers at once; more than the CPUs cannot help.
     jobs = min(jobs, os.cpu_count() or 1)
-    found: Optional[int] = None
     if jobs <= 1 or limit < 4096:
         found = _first_fair(instance, criterion, 0, limit)
     else:
@@ -231,16 +236,12 @@ def count_fair(
     """
     require_orientation(instance, criterion)
     _require_within_budget(instance, budget)
-    valuations = _agent_valuations(instance)
-    count = 0
-    witness: Optional[Allocation] = None
-    for allocation in enumerate_allocations(instance, budget=budget):
-        bundles = allocation.bundles
-        if _first_unfair_pair(instance, valuations, criterion, bundles) is None:
-            count += 1
-            if witness is None:
-                witness = allocation
-    return count, witness
+    rows, _ = _rows(instance, criterion.orientation)
+    count, first = 0, None
+    for masks in _walk(instance):
+        if _first_unfair_pair(rows, criterion, masks) is None:
+            count, first = count + 1, first or masks
+    return count, None if first is None else Allocation(_bundles(instance, first))
 
 
 def check_chores_characterization(
@@ -277,19 +278,16 @@ def max_nash_welfare(
     """Exhaustive Nash welfare maximizer for a goods-pure instance.
 
     Returns (allocation, product of own-bundle values). Ties keep the first
-    maximizer in plan order.
+    maximizer in plan order. Products of integer totals keep that maximizer,
+    since every row scale is positive; the value divides by their product.
     """
     if not instance.goods_pure:
         raise OrientationError("Nash welfare maximization expects a goods-pure instance")
     _require_within_budget(instance, budget)
-    best: Optional[Allocation] = None
-    best_value: Optional[Fraction] = None
-    for allocation in enumerate_allocations(instance, budget=budget):
-        welfare = Fraction(1)
-        for i in range(instance.agents):
-            welfare *= instance.bundle_value(i, allocation.bundles[i])
-        if best_value is None or welfare > best_value:
-            best, best_value = allocation, welfare
-    if best is None:
-        raise ValueError("instance admits no allocations")
-    return best, best_value
+    rows, scales = _rows(instance)
+    best, best_welfare = None, -1  # every product is >= 0 on goods
+    for masks in _walk(instance):
+        welfare = math.prod(sum(_entries(row, m)) for row, m in zip(rows, masks))
+        if welfare > best_welfare:
+            best, best_welfare = masks, welfare
+    return Allocation(_bundles(instance, best)), Fraction(best_welfare, math.prod(scales))

@@ -16,7 +16,6 @@ program, solved by `exactlp.maximize`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -30,6 +29,7 @@ from .model import (
     Instance,
     InstanceError,
     OrientationError,
+    _integer_row,
     require_valid,
 )
 from .search import DEFAULT_ENUM_CAP, plan_total
@@ -111,9 +111,7 @@ def mms_share(
             "supply a witness to verify_mms_lower_bound instead"
         )
     n = instance.agents
-    row = instance.values[agent]
-    scale = math.lcm(*(v.denominator for v in row))
-    ints = [int(v * scale) for v in row]
+    ints, scale = _integer_row(instance.values[agent])
     # layers[k] maps each state after k types to its (parent, holders).
     layers = [{(0,) * n: None}]
     for t, v in zip(instance.types, ints):

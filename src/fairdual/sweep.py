@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .criteria import BASES, HIERARCHY_EDGES, ComparisonCriterion, _agent_valuations
+from .criteria import BASES, HIERARCHY_EDGES, ComparisonCriterion, _bundles, _entries, _rows
 from .model import Instance, format_rational, instance_to_json
 from .randgen import GENERATOR_VERSION, random_instance
-from .search import _first_unfair_pair, enumerate_allocations, plan_total
+from .search import _first_unfair_pair, _walk, plan_total
 from .shares import mms_share
 
 # Every goods criterion the sweep evaluates: each base, plain then without commons.
@@ -145,16 +145,15 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         if plan_total(instance) > config.plan_cap:
             skipped += 1
             continue
-        valuations = _agent_valuations(instance)
+        rows, scales = _rows(instance)
         maximins = [
             mms_share(instance, agent, budget=config.plan_cap).value
             for agent in range(instance.agents)
         ]
-        for allocation in enumerate_allocations(instance, budget=config.plan_cap):
+        for masks in _walk(instance):
             total_allocations += 1
-            bundles = allocation.bundles
             verdict = {
-                c.notion: _first_unfair_pair(instance, valuations, c, bundles) is None
+                c.notion: _first_unfair_pair(rows, c, masks) is None
                 for c in SWEEP_CRITERIA
             }
             for stronger, weaker in HIERARCHY_EDGES:
@@ -165,7 +164,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                             index=index,
                             detail=(
                                 f"{stronger} holds but {weaker} fails on "
-                                f"{[sorted(b) for b in allocation.bundles]}"
+                                f"{[sorted(b) for b in _bundles(instance, masks)]}"
                             ),
                             instance=instance_to_json(instance),
                         )
@@ -178,10 +177,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                     share = maximins[agent]
                     if share <= 0:
                         continue
-                    ratio = (
-                        instance.bundle_value(agent, allocation.bundles[agent])
-                        / share
-                    )
+                    value = Fraction(sum(_entries(rows[agent], masks[agent])), scales[agent])
+                    ratio = value / share
                     if min_ratio[notion] is None or ratio < min_ratio[notion]:
                         min_ratio[notion] = ratio
                         min_index[notion] = index

@@ -10,7 +10,6 @@ from fairdual.criteria import (
     NotACycleError,
     OrientationError,
     cancel_envy_cycle,
-    criterion_eval,
     criterion_for,
     envy_graph,
     is_fair,
@@ -20,6 +19,7 @@ from fairdual.criteria import (
 )
 from fairdual.model import Allocation, Instance, ItemType, bundle
 from fairdual.randgen import random_allocation, random_instance
+from kernel_views import pair_eval
 
 
 def test_parse_notion():
@@ -64,7 +64,7 @@ def test_goods_base_definitions_by_hand():
     def holds(notion):
         base, wc = parse_notion(notion)
         crit = ComparisonCriterion(base, "goods", wc)
-        return criterion_eval(crit, valuation, inside, outside)
+        return pair_eval(crit, valuation, inside, outside)
 
     assert not holds("ef")  # 3 < 4
     assert holds("ef1")  # 3 >= 4 - 2
@@ -76,20 +76,20 @@ def test_efl_two_conditions():
     # EFL needs some item both droppable and individually dominated
     valuation = {"a": Fraction(1), "b": Fraction(5), "c": Fraction(5)}
     crit = ComparisonCriterion("efl", "goods", False)
-    assert not criterion_eval(crit, valuation, bundle("a"), bundle("b", "c"))
+    assert not pair_eval(crit, valuation, bundle("a"), bundle("b", "c"))
     # a singleton comparison bundle passes EFL outright
-    assert criterion_eval(crit, valuation, bundle("a"), bundle("b"))
-    assert criterion_eval(crit, valuation, bundle("a"), bundle())
+    assert pair_eval(crit, valuation, bundle("a"), bundle("b"))
+    assert pair_eval(crit, valuation, bundle("a"), bundle())
 
 
 def test_chores_complement_negates_and_swaps():
     # chores EF1: drop the worst chore from the envious side
     valuation = {"a": Fraction(-4), "b": Fraction(-1)}
     crit = ComparisonCriterion("ef1", "chores", False)
-    assert criterion_eval(crit, valuation, bundle("a"), bundle("b"))
+    assert pair_eval(crit, valuation, bundle("a"), bundle("b"))
     crit_ef = ComparisonCriterion("ef", "chores", False)
-    assert not criterion_eval(crit_ef, valuation, bundle("a"), bundle("b"))
-    assert criterion_eval(crit_ef, valuation, bundle("b"), bundle("a"))
+    assert not pair_eval(crit_ef, valuation, bundle("a"), bundle("b"))
+    assert pair_eval(crit_ef, valuation, bundle("b"), bundle("a"))
 
 
 def test_without_commons_strips_shared_types():
@@ -98,10 +98,10 @@ def test_without_commons_strips_shared_types():
     wc = ComparisonCriterion("ef", "goods", True)
     inside = bundle("h", "a")
     outside = bundle("h", "a", "b")
-    assert not criterion_eval(plain, valuation, inside, outside)
-    assert not criterion_eval(wc, valuation, inside, outside)
+    assert not pair_eval(plain, valuation, inside, outside)
+    assert not pair_eval(wc, valuation, inside, outside)
     # equal once commons are gone
-    assert criterion_eval(wc, valuation, bundle("h", "b"), bundle("h", "a"))
+    assert pair_eval(wc, valuation, bundle("h", "b"), bundle("h", "a"))
 
 
 def test_ef_wc_equals_ef_on_disjoint_bundles():

@@ -7,13 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import criteria_reference as ref
-from fairdual.criteria import (
-    BASES,
-    ComparisonCriterion,
-    _offending_item,
-    criterion_eval,
-    is_fair,
-)
+from kernel_views import one_agent, pair_eval, pair_item
+from fairdual.criteria import BASES, ComparisonCriterion, is_fair
 from fairdual.leveled import leveled_counterexample
 from fairdual.model import Allocation, Instance, InstanceError, ItemType
 
@@ -41,16 +36,12 @@ def pairs(draw):
 @given(pairs())
 def test_pair_test_matches_the_reference(pair):
     valuation, bundle_i, bundle_u = pair
-    instance = Instance(
-        agents=1,
-        types=tuple(ItemType(name, 1) for name in valuation),
-        values=(tuple(valuation.values()),),
-    )
+    instance = one_agent(valuation)
     for criterion in CRITERIA:
-        verdict = criterion_eval(criterion, valuation, bundle_i, bundle_u)
+        verdict = pair_eval(criterion, valuation, bundle_i, bundle_u)
         assert verdict == ref.criterion_eval(criterion, valuation, bundle_i, bundle_u)
         if not verdict:
-            item = _offending_item(criterion, instance, valuation, bundle_i, bundle_u)
+            item = pair_item(criterion, valuation, bundle_i, bundle_u)
             assert item == ref.offending_item(
                 criterion, instance, valuation, bundle_i, bundle_u
             ), criterion

@@ -10,6 +10,7 @@ from itertools import islice
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from kernel_views import walk_bundles
 from plan_reference import plan_bundles
 
 from fairdual import search
@@ -26,7 +27,6 @@ from fairdual.model import (
 )
 from fairdual.randgen import random_instance
 from fairdual.search import (
-    _walk,
     allocation_at,
     check_chores_characterization,
     count_fair,
@@ -260,7 +260,7 @@ def test_walk_matches_the_reference_plan(instance, data):
     assert [a.bundles for a in enumerate_allocations(instance)] == reference
     for index in {0, total - 1, data.draw(st.integers(0, total - 1))}:
         assert allocation_at(instance, index).bundles == reference[index]
-        assert list(_walk(instance, index)) == reference[index:]
+        assert walk_bundles(instance, index) == reference[index:]
     with pytest.raises(IndexError):
         allocation_at(instance, total)
     criterion = ComparisonCriterion(
