@@ -168,13 +168,13 @@ class Instance:
 
         A type is a good when no agent values it negatively and someone
         values it positively, a chore symmetrically, and "zero" when every
-        agent values it at 0 (compatible with both orientations).
+        agent values it at 0 (compatible with both orientations). A
+        Fraction's sign is its numerator's, which is cheaper to test.
         """
         tags = []
-        for pos in range(len(self.types)):
-            col = [row[pos] for row in self.values]
-            has_pos = any(v > 0 for v in col)
-            has_neg = any(v < 0 for v in col)
+        for column in zip(*self.values):
+            has_pos = any(v.numerator > 0 for v in column)
+            has_neg = any(v.numerator < 0 for v in column)
             if has_pos and has_neg:
                 tags.append("mixed")
             elif has_pos:

@@ -6,12 +6,16 @@ walk the cartesian product with the first type most significant. One lazy
 walk serves every caller: it keeps one subset iterator per type and can
 start at any plan index, so memory does not grow with the plan and every
 budget is checked before any work. Every certificate produced from it is
-therefore reproducible bit for bit, and "not exists" verdicts state how
-many allocations were examined (always the whole plan).
+therefore reproducible bit for bit.
 
-The walk yields per-agent type masks and XORs a changed type's bit into its
-old and new holders only. Existence, counting and Nash welfare run on those
-masks and on integer rows, and decode only the allocation they report.
+The walk yields per-agent type masks and own-bundle totals on integer rows,
+and updates both for a changed type's old and new holders only. It can also
+skip the rest of the subtree under a prefix of types. Existence and
+counting skip each subtree in which a failing pair fails everywhere (see
+`_refuted_depth`), so a certificate's `checked` is a plan position: every
+allocation before it was either examined or lies in a subtree a failing
+pair refutes. A "not exists" verdict covers the whole plan the same way.
+Only the allocation a caller reports is decoded.
 """
 
 from __future__ import annotations
@@ -60,8 +64,16 @@ def _holder_sets_from(n: int, k: int, rank: int) -> Iterator[tuple]:
             yield head + tail
 
 
-def _walk(instance: Instance, start: int = 0) -> Iterator[tuple]:
-    """Yield each allocation's per-agent masks in plan order, from plan index `start`."""
+def _walk(instance: Instance, rows, start: int = 0) -> Iterator[tuple]:
+    """Yield (masks, own) per allocation in plan order, from plan index `start`.
+
+    `masks[a]` has bit p set when agent a holds the type at position p, and
+    `own[a]` is `rows[a]` summed over `masks[a]`. Both are the walk's own
+    lists, changed in place by the next step: copy them to keep them.
+    `walk.send(d)` skips the rest of the subtree under the current prefix
+    of types 0..d and yields the first allocation after it; d = -1 ends
+    the walk. A plain `next` is `send(len(types) - 1)`.
+    """
     n = instance.agents
     types = instance.types
     digits = []
@@ -76,17 +88,28 @@ def _walk(instance: Instance, start: int = 0) -> Iterator[tuple]:
     ]
     choice = [next(it) for it in subsets]
     masks = [sum(1 << p for p, h in enumerate(choice) if a in h) for a in range(n)]
+    own = [sum(_entries(row, m)) for row, m in zip(rows, masks)]
+    columns = list(zip(*rows))
+    last = len(types) - 1
     while True:
-        yield tuple(masks)
-        # Odometer step: the last type turns fastest; a spent type restarts.
+        depth = yield masks, own
+        if depth is None:
+            depth = last
+        # Odometer step at `depth`: types after it restart, and a spent type
+        # restarts and carries into the type before it.
         for pos in reversed(range(len(types))):
-            holders = next(subsets[pos], None)
+            holders = next(subsets[pos], None) if pos <= depth else None
             if holders is None:
                 subsets[pos] = combinations(range(n), types[pos].copies)
             new = holders or next(subsets[pos])
             # The bit flips for the old and the new holders; one in both keeps it.
-            for agent in choice[pos] + new:
-                masks[agent] ^= 1 << pos
+            bit, column = 1 << pos, columns[pos]
+            for agent in choice[pos]:
+                masks[agent] ^= bit
+                own[agent] -= column[agent]
+            for agent in new:
+                masks[agent] ^= bit
+                own[agent] += column[agent]
             choice[pos] = new
             if holders is not None:
                 break
@@ -104,7 +127,8 @@ def enumerate_allocations(
     (default DEFAULT_ENUM_CAP) with allocations still unvisited.
     """
     cap = DEFAULT_ENUM_CAP if budget is None else budget
-    for _, masks in zip(range(cap), _walk(instance)):
+    rows, _ = _rows(instance)
+    for _, (masks, _) in zip(range(cap), _walk(instance, rows)):
         yield Allocation(_bundles(instance, masks))
     _require_within_budget(instance, budget)
 
@@ -125,7 +149,8 @@ def allocation_at(instance: Instance, index: int) -> Allocation:
     total = plan_total(instance)
     if not 0 <= index < total:
         raise IndexError(f"index {index} outside plan of size {total}")
-    return Allocation(_bundles(instance, next(_walk(instance, index))))
+    masks, _ = next(_walk(instance, _rows(instance)[0], index))
+    return Allocation(_bundles(instance, masks))
 
 
 @dataclass(frozen=True)
@@ -133,9 +158,10 @@ class ExistenceCertificate:
     """Outcome of an exhaustive existence check.
 
     For a positive verdict, `witness` is the first fair allocation in plan
-    order and `checked` counts the allocations examined up to and including
-    it. For a refutation, the whole plan was swept and `checked` equals
-    `plan_total`.
+    order and `checked` is its plan position plus one. For a refutation,
+    `checked` equals `plan_total`. Either way every allocation before
+    `checked` was examined or lies in a subtree that a failing pair refutes,
+    so the walk may have examined fewer than `checked` allocations.
     """
 
     exists: bool
@@ -155,13 +181,79 @@ def _first_unfair_pair(rows, criterion, masks) -> Optional[tuple]:
     return None
 
 
+def _refuted_depth(criterion, row, mask_i: int, mask_j: int, full: int, everything: int) -> int:
+    """How far up the plan tree a failing pair (i, j) refutes this allocation.
+
+    Returns the shallowest depth d such that the pair fails on every
+    allocation sharing this one's holders of types 0..d, or -1 when it
+    fails on the whole plan. `row` is agent i's kernel row, `full` the mask
+    of the full-copy types and `everything` the mask of all types.
+
+    Soundness: `require_orientation` makes every kernel row non-negative,
+    and for every base, plain or `_wc`, an item on the own side never
+    hurts, an item on the other side never helps, and a shared item is
+    never better than own-only. So the pair's best completion of a prefix
+    gives each later type that is not full to the favoured agent alone (i
+    for goods, j for chores, whose sides swap) and each full-copy type to
+    both; if the pair fails there, it fails on every allocation in the
+    subtree. Climbing from the deepest prefix, trailing types that this
+    allocation already gives the favoured agent alone need no evaluation;
+    each other type costs one, until the pair passes.
+    """
+    chores = criterion.orientation == "chores"
+    fav, other = (mask_j, mask_i) if chores else (mask_i, mask_j)
+    # Types this allocation does not give the favoured agent alone.
+    loose = everything & ~full & ~(fav & ~other)
+    while loose:
+        depth = loose.bit_length() - 1
+        loose ^= 1 << depth
+        prefix = (1 << depth) - 1
+        best_fav = fav & prefix | everything & ~prefix
+        best_other = other & prefix | full & ~prefix
+        pair = (best_other, best_fav) if chores else (best_fav, best_other)
+        if criterion_eval(criterion, row, *pair):
+            return depth
+    return -1
+
+
+def _fair_indices(instance, criterion, start: int, stop: int) -> Iterator[int]:
+    """The plan indices in [start, stop) whose allocations are fair, in order.
+
+    At an unfair allocation the walk jumps past the subtree its first
+    failing pair refutes (`_refuted_depth`).
+    """
+    if start >= stop:
+        return
+    rows, _ = _rows(instance, criterion.orientation)
+    n, last = instance.agents, len(instance.types) - 1
+    everything = (1 << len(instance.types)) - 1
+    full = sum(1 << p for p, t in enumerate(instance.types) if t.copies == n)
+    # below[d + 1]: the allocations sharing one holder choice for types 0..d.
+    below = [1]
+    for t in reversed(instance.types):
+        below.append(below[-1] * math.comb(n, t.copies))
+    below.reverse()
+    walk = _walk(instance, rows, start)
+    masks, _ = next(walk)
+    index = start
+    while True:
+        pair = _first_unfair_pair(rows, criterion, masks)
+        if pair is None:
+            yield index
+            depth = last
+        else:
+            i, j = pair
+            depth = _refuted_depth(criterion, rows[i], masks[i], masks[j], full, everything)
+        size = below[depth + 1]
+        index = (index // size + 1) * size
+        if index >= stop:
+            return
+        masks, _ = walk.send(depth)
+
+
 def _first_fair(instance, criterion, start: int, stop: int) -> Optional[int]:
     """The first plan index in [start, stop) whose allocation is fair, or None."""
-    rows, _ = _rows(instance, criterion.orientation)
-    for index, masks in zip(range(start, stop), _walk(instance, start)):
-        if _first_unfair_pair(rows, criterion, masks) is None:
-            return index
-    return None
+    return next(_fair_indices(instance, criterion, start, stop), None)
 
 
 def exists_fair(
@@ -172,17 +264,19 @@ def exists_fair(
 ) -> ExistenceCertificate:
     """Decide whether any complete exclusive allocation satisfies the criterion.
 
-    Sweeps the plan in order; a refutation requires the full sweep. With
-    jobs > 1 the sweep is split into index ranges over worker processes,
-    each walking its range the same way; the reported witness is still the
-    globally first one, so certificates do not depend on the worker count.
+    Sweeps the plan in order, skipping subtrees a failing pair refutes; a
+    refutation covers the whole plan. With jobs > 1 the sweep is split into
+    index ranges over worker processes, each walking its range the same
+    way; the reported witness is still the globally first one, so
+    certificates do not depend on the worker count.
     """
     require_orientation(instance, criterion)
     cap = DEFAULT_ENUM_CAP if budget is None else budget
     total = plan_total(instance)
     limit = min(total, cap)
-    # A pool forks all its workers at once; more than the CPUs cannot help.
-    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        # A pool forks all its workers at once; more than the CPUs cannot help.
+        jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or limit < 4096:
         found = _first_fair(instance, criterion, 0, limit)
     else:
@@ -232,16 +326,16 @@ def count_fair(
     """Count satisfying allocations over the whole plan.
 
     Returns (count, first witness or None). Unlike exists_fair there is no
-    early exit, so the count is exact for the full plan.
+    early exit, so the count is exact for the full plan; only subtrees a
+    failing pair refutes are skipped.
     """
     require_orientation(instance, criterion)
     _require_within_budget(instance, budget)
-    rows, _ = _rows(instance, criterion.orientation)
-    count, first = 0, None
-    for masks in _walk(instance):
-        if _first_unfair_pair(rows, criterion, masks) is None:
-            count, first = count + 1, first or masks
-    return count, None if first is None else Allocation(_bundles(instance, first))
+    fair = _fair_indices(instance, criterion, 0, plan_total(instance))
+    first = next(fair, None)
+    if first is None:
+        return 0, None
+    return 1 + sum(1 for _ in fair), allocation_at(instance, first)
 
 
 def check_chores_characterization(
@@ -286,8 +380,8 @@ def max_nash_welfare(
     _require_within_budget(instance, budget)
     rows, scales = _rows(instance)
     best, best_welfare = None, -1  # every product is >= 0 on goods
-    for masks in _walk(instance):
-        welfare = math.prod(sum(_entries(row, m)) for row, m in zip(rows, masks))
+    for masks, own in _walk(instance, rows):
+        welfare = math.prod(own)
         if welfare > best_welfare:
-            best, best_welfare = masks, welfare
+            best, best_welfare = tuple(masks), welfare
     return Allocation(_bundles(instance, best)), Fraction(best_welfare, math.prod(scales))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .criteria import BASES, HIERARCHY_EDGES, ComparisonCriterion, _bundles, _entries, _rows
+from .criteria import BASES, HIERARCHY_EDGES, ComparisonCriterion, _bundles, _rows
 from .model import Instance, format_rational, instance_to_json
 from .randgen import GENERATOR_VERSION, random_instance
 from .search import _first_unfair_pair, _walk, plan_total
@@ -150,7 +150,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             mms_share(instance, agent, budget=config.plan_cap).value
             for agent in range(instance.agents)
         ]
-        for masks in _walk(instance):
+        for masks, own in _walk(instance, rows):
             total_allocations += 1
             verdict = {
                 c.notion: _first_unfair_pair(rows, c, masks) is None
@@ -177,7 +177,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                     share = maximins[agent]
                     if share <= 0:
                         continue
-                    value = Fraction(sum(_entries(rows[agent], masks[agent])), scales[agent])
+                    value = Fraction(own[agent], scales[agent])
                     ratio = value / share
                     if min_ratio[notion] is None or ratio < min_ratio[notion]:
                         min_ratio[notion] = ratio

@@ -38,4 +38,5 @@ def pair_item(criterion, valuation, bundle_i, bundle_u):
 
 def walk_bundles(instance, start=0):
     """The plan walk from `start`, each step decoded to a tuple of bundles."""
-    return [_bundles(instance, masks) for masks in search._walk(instance, start)]
+    rows, _ = _rows(instance)
+    return [_bundles(instance, masks) for masks, _ in search._walk(instance, rows, start)]

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdual.leveled import is_leveled, leveled_counterexample
 from fairdual.model import (
@@ -108,6 +110,46 @@ def test_orientation_classification():
         agents=2, types=(ItemType("a", 1),), values=((Fraction(0),), (Fraction(0),))
     )
     assert zero.goods_pure and zero.chores_pure
+
+
+def reference_tag(column):
+    """A type's sign tag by Fraction comparisons."""
+    has_pos = any(v > 0 for v in column)
+    has_neg = any(v < 0 for v in column)
+    if has_pos and has_neg:
+        return "mixed"
+    return "good" if has_pos else "chore" if has_neg else "zero"
+
+
+# Per type: all zero, goods, chores, or both signs (mixed is likely).
+signed_columns = st.sampled_from([(0, 0), (0, 1), (-1, 0), (-1, 1)]).flatmap(
+    lambda signs: st.lists(
+        st.builds(
+            lambda sign, p, q: Fraction(sign * p, q),
+            st.sampled_from(signs),
+            st.integers(0, 9),
+            st.integers(1, 6),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.lists(signed_columns, max_size=5))
+def test_type_tags_match_fraction_comparisons(n, draws):
+    columns = [(draw * n)[:n] for draw in draws]
+    expected = [reference_tag(column) for column in columns]
+    types = tuple(ItemType(f"t{k}", 1) for k in range(len(columns)))
+    values = tuple(tuple(column[i] for column in columns) for i in range(n))
+    if "mixed" in expected:
+        name = types[expected.index("mixed")].name
+        message = f"type {name!r} has both positive and negative values"
+        with pytest.raises(InstanceError, match=message):
+            Instance(agents=n, types=types, values=values)
+    else:
+        assert Instance(agents=n, types=types, values=values).type_tags == tuple(expected)
 
 
 def test_value_accessors():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import resource
@@ -14,7 +15,14 @@ from kernel_views import walk_bundles
 from plan_reference import plan_bundles
 
 from fairdual import search
-from fairdual.criteria import BASES, ComparisonCriterion, OrientationError, is_fair
+from fairdual.criteria import (
+    BASES,
+    ComparisonCriterion,
+    OrientationError,
+    _bundles,
+    _rows,
+    is_fair,
+)
 from fairdual.duality import dualize
 from fairdual.fixtures import load_fixture
 from fairdual.model import (
@@ -27,6 +35,7 @@ from fairdual.model import (
 )
 from fairdual.randgen import random_instance
 from fairdual.search import (
+    _first_fair,
     allocation_at,
     check_chores_characterization,
     count_fair,
@@ -280,6 +289,102 @@ def test_walk_matches_the_reference_plan(instance, data):
     else:
         assert certificate.checked == first + 1
         assert certificate.witness.bundles == reference[first]
+
+
+def subtree_size(instance, depth):
+    """Allocations sharing one holder choice for types 0..depth."""
+    n = instance.agents
+    return math.prod(math.comb(n, t.copies) for t in instance.types[depth + 1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_goods_instances(), st.data())
+def test_walk_send_skips_to_the_next_prefix(instance, data):
+    """send(d) lands on the plan's next holder choice for types 0..d."""
+    reference = list(plan_bundles(instance))
+    total = len(reference)
+    index = data.draw(st.integers(0, total - 1))
+    depth = data.draw(st.integers(-1, len(instance.types) - 1))
+    size = subtree_size(instance, depth)
+    landing = (index // size + 1) * size
+    rows, scales = _rows(instance)
+    walk = search._walk(instance, rows, index)
+    next(walk)
+    if landing >= total:
+        with pytest.raises(StopIteration):
+            walk.send(depth)
+        return
+    seen = []
+    step = walk.send(depth)
+    while step is not None:
+        masks, own = step
+        bundles = _bundles(instance, masks)
+        seen.append(bundles)
+        assert own == [instance.bundle_value(a, b) * scales[a] for a, b in enumerate(bundles)]
+        step = next(walk, None)
+    assert seen == reference[landing:]
+
+
+@st.composite
+def skip_instances(draw):
+    """2-4 agents, 0-8 types (full-copy ones too), zeros, goods or chores; plan <= 2000."""
+    n = draw(st.integers(2, 4))
+    copies = [draw(st.integers(1, n)) for _ in range(draw(st.integers(0, 8)))]
+    while math.prod(math.comb(n, c) for c in copies) > 2000:
+        copies.pop()
+    sign = draw(st.sampled_from([1, -1]))
+    return Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
+        values=tuple(
+            tuple(Fraction(sign * draw(st.integers(0, 4))) for _ in copies) for _ in range(n)
+        ),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(skip_instances(), st.data())
+def test_skipping_keeps_every_answer_of_the_full_sweep(instance, data):
+    """Certificates, counts and range starts inside refuted subtrees match a full sweep."""
+    orientation = instance.orientation()
+    criterion = ComparisonCriterion(
+        data.draw(st.sampled_from(BASES)), orientation, data.draw(st.booleans())
+    )
+    plan = [Allocation(bundles) for bundles in plan_bundles(instance)]
+    fair = [is_fair(instance, allocation, criterion).fair for allocation in plan]
+    total = len(plan)
+    first = fair.index(True) if any(fair) else None
+    certificate = exists_fair(instance, criterion)
+    assert certificate.checked == (total if first is None else first + 1)
+    assert certificate.witness == (None if first is None else plan[first])
+    assert count_fair(instance, criterion) == (sum(fair), certificate.witness)
+    # --jobs ranges may start anywhere, unfair allocations included.
+    unfair = [index for index, ok in enumerate(fair) if not ok] or [0]
+    for start in (data.draw(st.sampled_from(unfair)), data.draw(st.integers(0, total - 1))):
+        stop = data.draw(st.integers(start, total))
+        expected = next((k for k in range(start, stop) if fair[k]), None)
+        assert _first_fair(instance, criterion, start, stop) == expected
+
+
+def test_a_failing_pair_skips_its_subtree(monkeypatch):
+    """Whoever holds g0 is envied whatever else happens, so the first
+    allocation of each half of the plan refutes that whole half."""
+    instance = single_copy_pair([100] + [1] * 10)
+    criterion = ComparisonCriterion("ef", "goods")
+    calls = []
+    original = search.criterion_eval
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(search, "criterion_eval", counting)
+    certificate = exists_fair(instance, criterion)
+    assert not certificate.exists and certificate.checked == plan_total(instance) == 2048
+    assert 0 < len(calls) < 2048
+    calls.clear()
+    assert count_fair(instance, criterion) == (0, None)
+    assert 0 < len(calls) < 2048
 
 
 def l20_instance():
