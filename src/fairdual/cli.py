@@ -62,9 +62,10 @@ def _load_json(path: str):
 
 
 def _load_instance(path: str) -> Instance:
+    data = _load_json(path)
     try:
         return instance_from_json(
-            _load_json(path),
+            data,
             on_notice=lambda msg: print(f"note: {path}: {msg}", file=sys.stderr),
         )
     except FairdualError as exc:
@@ -72,8 +73,9 @@ def _load_instance(path: str) -> Instance:
 
 
 def _load_allocation(path: str) -> Allocation:
+    data = _load_json(path)
     try:
-        return allocation_from_json(_load_json(path))
+        return allocation_from_json(data)
     except FairdualError as exc:
         raise FairdualError(f"{path}: {exc}") from exc
 
@@ -459,10 +461,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FairdualError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
-    except ValueError as exc:
+    except (FairdualError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     except Exception as exc:

@@ -93,7 +93,7 @@ def criterion_for(
         orientation = instance.orientation()
         if orientation is None:
             raise OrientationError(
-                "instance mixes goods and chores; pass an orientation explicitly"
+                "instance mixes goods and chores; no criterion applies to it"
             )
     return ComparisonCriterion(base, orientation, wc)
 

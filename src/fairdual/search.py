@@ -35,6 +35,7 @@ from .criteria import (
     criterion_eval,
     require_orientation,
 )
+from .duality import dualize
 from .model import Allocation, BudgetExceededError, Instance, OrientationError
 
 # Hard default on allocations examined per exhaustive operation.
@@ -339,7 +340,7 @@ def count_fair(
 
 
 def check_chores_characterization(
-    instance: Instance, budget: Optional[int] = None, jobs: int = 1
+    instance: Instance, budget: Optional[int] = None
 ) -> bool:
     """Single-copy chores: EFX exists here iff EFX_WC exists on the dual.
 
@@ -347,21 +348,18 @@ def check_chores_characterization(
     Returns True when the two exhaustive verdicts agree (the expected
     outcome on every input; False would be a counterexample worth keeping).
     """
-    from .duality import dualize
-
     if not instance.chores_pure:
         raise OrientationError("characterization applies to chores-pure instances")
     if any(t.copies != 1 for t in instance.types):
         raise ValueError("characterization applies to single-copy instances")
     chores_side = exists_fair(
-        instance, ComparisonCriterion("efx", "chores"), budget=budget, jobs=jobs
+        instance, ComparisonCriterion("efx", "chores"), budget=budget
     )
     dual = dualize(instance)
     goods_side = exists_fair(
         dual.instance,
         ComparisonCriterion("efx", "goods", without_commons=True),
         budget=budget,
-        jobs=jobs,
     )
     return chores_side.exists == goods_side.exists
 

@@ -11,7 +11,8 @@ Anyprice prices live on the simplex over free types: types held by every
 agent are forced into each bundle, contribute their value as a constant,
 and carry no price. A price vector lists one weight per free type, summing
 to one. Each exclusion probe of the anyprice search is one exact linear
-program, solved by `exactlp.maximize`.
+program over goods, solved by `exactlp.maximize`; a chores share is the
+dual goods problem at entitlement 1 - b, certified by the same prices.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
+from .duality import dualize
 from .exactlp import maximize
 from .model import (
     Allocation,
     BudgetExceededError,
     CertificateError,
     Instance,
-    InstanceError,
+    ItemType,
     OrientationError,
     _integer_row,
     require_valid,
@@ -249,54 +251,40 @@ def _subset_sums(items):
     return sums
 
 
-def _excludable(values, f, threshold, b, orientation):
-    """Can prices make every bundle worth at least `threshold` miss the budget?
+def _excludable(values, f, threshold, b):
+    """Can prices make every bundle worth at least `threshold` cost more than b?
 
     Returns the slack-maximizing LP outcome: (excludable, prices or None).
-    Goods: qualifying bundles must cost strictly more than b, so only
-    subset-minimal qualifying bundles constrain. Chores: strictly less,
-    so subset-maximal ones do.
+    Only subset-minimal qualifying bundles constrain. Chores reach this
+    goods form through `aps_share`'s duality step.
     """
     qualifying = [m for m in range(1 << f) if values[m] >= threshold]
     marks = set(qualifying)
-    frontier = []
-    for m in qualifying:
-        if orientation == "goods":
-            boundary = all(
-                (m ^ (1 << i)) not in marks for i in range(f) if m & (1 << i)
-            )
-        else:
-            boundary = all(
-                (m | (1 << i)) not in marks for i in range(f) if not m & (1 << i)
-            )
-        if boundary:
-            frontier.append(m)
-    # Maximize sigma = s + 1, where s is the least slack of a frontier
-    # bundle under prices p on the simplex. Every p gives s >= -b (goods)
-    # or s >= b - 1 (chores), so requiring sigma >= 0 loses no optimum, and
-    # every inequality keeps a nonnegative right-hand side; only sum(p) = 1
-    # needs an artificial. Excludable iff sigma > 1.
-    #   goods   sigma - p(m) <= 1 - b      chores   p(m) + sigma <= 1 + b.
+    frontier = [
+        m
+        for m in qualifying
+        if all((m ^ (1 << i)) not in marks for i in range(f) if m & (1 << i))
+    ]
+    # Maximize sigma = s + 1, where s is the least slack p(m) - b of a
+    # frontier bundle under prices p on the simplex. Every p gives s >= -b,
+    # so requiring sigma >= 0 loses no optimum, and every inequality keeps a
+    # nonnegative right-hand side; only sum(p) = 1 needs an artificial.
+    # Excludable iff sigma > 1. Row per frontier bundle: sigma - p(m) <= 1 - b.
     objective = [0] * f + [1]
     eq = [([1] * f + [0], 1)]
-    leq = []
-    sign = -1 if orientation == "goods" else 1
-    rhs = 1 - b if orientation == "goods" else 1 + b
-    for m in frontier:
-        member = [sign if m >> i & 1 else 0 for i in range(f)]
-        leq.append((member + [1], rhs))
+    rhs = 1 - b
+    leq = [([-1 if m >> i & 1 else 0 for i in range(f)] + [1], rhs) for m in frontier]
     result = maximize(objective, leq=leq, eq=eq)
     if result.optimum > 1:
         return True, result.solution[:f]
     return False, None
 
 
-def _best_within_budget(values, weights, b, orientation):
-    """Best affordable (goods) or forceable (chores) free-bundle value at these prices."""
+def _best_within_budget(values, weights, b):
+    """Best free-bundle value affordable at these prices within budget b."""
     best = None
     for value, w in zip(values, _subset_sums(weights)):
-        feasible = w <= b if orientation == "goods" else w >= b
-        if feasible and (best is None or value > best):
+        if w <= b and (best is None or value > best):
             best = value
     return best
 
@@ -307,11 +295,13 @@ def aps_share(
     """Anyprice share at the given entitlement (default 1/n).
 
     Goods: the best bundle value the agent can afford no matter how the
-    adversary prices the free types; chores: the least bad bundle the
-    agent can be forced into among those weighing at least the
-    entitlement. Either way the share is the largest bundle-value
+    adversary prices the free types, i.e. the largest bundle-value
     threshold the adversary cannot exclude, found by binary search with an
-    exact slack-maximizing feasibility program per probe.
+    exact slack-maximizing feasibility program per probe. Chores: the least
+    bad bundle the agent can be forced into among those weighing at least
+    b; by the duality theorem that is v(free) plus the goods share of the
+    negated row at budget 1 - b, since p(m) >= b iff p(free - m) <= 1 - b.
+    The same prices certify the chores share at entitlement b.
 
     The certificate prices witness the value from above: under them no
     strictly better bundle fits the budget. They are re-verified by direct
@@ -336,7 +326,13 @@ def aps_share(
     if f == 0:
         return ShareValue(value=base, certificate=PriceVector((), b))
     row = instance.values[agent]
-    values = _subset_sums([row[p] for p in free_positions])
+    free_row = [row[p] for p in free_positions]
+    budget = b
+    if orientation == "chores":
+        free_row, budget = [-v for v in free_row], 1 - b
+    values = _subset_sums(free_row)
+    # On chores values[-1] = -v(free), the shift back to the primal values.
+    shift = -values[-1] if orientation == "chores" else 0
     thresholds = sorted(set(values))
     # Exclusion is monotone in the threshold: find the last non-excludable.
     # thresholds[0] never is (every bundle qualifies); hi starts past the end.
@@ -344,7 +340,7 @@ def aps_share(
     prices_at_cut = None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        excl, prices = _excludable(values, f, thresholds[mid], b, orientation)
+        excl, prices = _excludable(values, f, thresholds[mid], budget)
         if excl:
             hi, prices_at_cut = mid, prices
         else:
@@ -357,13 +353,13 @@ def aps_share(
         weights = list(prices_at_cut)
     vector = PriceVector(tuple(zip(names, weights)), b)
 
-    best = _best_within_budget(values, weights, b, orientation)
+    best = _best_within_budget(values, weights, budget)
     if best != free_value:
         raise CertificateError(
             f"anyprice certificate failed re-verification: the best bundle "
             f"within budget is worth {best}, not {free_value}"
         )
-    return ShareValue(value=base + free_value, certificate=vector)
+    return ShareValue(value=base + shift + free_value, certificate=vector)
 
 
 def check_aps_entitlement_duality(
@@ -374,8 +370,6 @@ def check_aps_entitlement_duality(
     Verifies, per agent, that the dual share equals the primal share minus
     the typeset value, and that own-bundle fairness agrees on both sides.
     """
-    from .duality import dualize
-
     b = Fraction(entitlement)
     if not 0 < b < 1:
         raise ValueError("entitlement must lie strictly between 0 and 1")
@@ -409,8 +403,6 @@ def aps_copy_shift_check(
     name = "shifted"
     while any(t.name == name for t in instance.types):
         name += "_"
-    from .model import ItemType
-
     extended = Instance(
         agents=instance.agents,
         types=instance.types + (ItemType(name, instance.agents),),

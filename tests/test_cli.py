@@ -272,6 +272,43 @@ def test_missing_file_is_an_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_load_errors_name_the_path_once(tmp_path, witness, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"agents": 3,')
+    missing = str(tmp_path / "missing.json")
+    for instance, allocation, path in (
+        (str(bad), witness, str(bad)),
+        (missing, witness, missing),
+        (write_json(tmp_path / "ok.json", {"agents": 2, "types": []}), str(bad), str(bad)),
+    ):
+        code = main(["check", "--instance", instance, "--allocation", allocation,
+                     "--notion", "ef1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count(path) == 1
+
+
+def test_mixed_instance_is_refused_under_any_orientation(tmp_path, capsys):
+    mixed = write_json(
+        tmp_path / "mixed.json",
+        {
+            "agents": 2,
+            "types": [
+                {"name": "g", "copies": 1, "values": {"shared": 1}},
+                {"name": "c", "copies": 1, "values": {"shared": -1}},
+            ],
+        },
+    )
+    assert main(["exists", "--instance", mixed, "--notion", "ef1"]) == 2
+    assert "mixes goods and chores; no criterion applies" in capsys.readouterr().err
+    for orientation in ("goods", "chores"):
+        code = main(["exists", "--instance", mixed, "--notion", "ef1",
+                     "--orientation", orientation])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_usage_error_from_argparse(doubled_types):
     with pytest.raises(SystemExit):
         main(["check", "--instance", doubled_types])

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
-from aps_reference import reference_aps_share
+from aps_reference import reference_aps_share, reference_price_value
 from hypothesis import strategies as st
 from plan_reference import plan_choices
 
@@ -475,9 +475,16 @@ def sign_pure_instances(draw):
 @settings(max_examples=200, deadline=None)
 @given(sign_pure_instances(), st.data())
 def test_aps_search_matches_the_reference(instance, data):
-    """Same value and same certificate prices as the probe-the-top search."""
+    """Same value as the two-orientation reference search. Goods keep its
+    certificate prices; chores prices may be another optimal vertex, so
+    they must pass the reference's own chores rule."""
     agent = data.draw(st.integers(0, instance.agents - 1))
     for entitlement in (None, Fraction(1, 3), Fraction(2, 3)):
-        assert aps_share(instance, agent, entitlement) == reference_aps_share(
-            instance, agent, entitlement
-        )
+        share = aps_share(instance, agent, entitlement)
+        reference = reference_aps_share(instance, agent, entitlement)
+        if instance.orientation() == "goods":
+            assert share == reference
+            continue
+        assert share.value == reference.value
+        assert share.certificate.entitlement == reference.certificate.entitlement
+        assert reference_price_value(instance, agent, share.certificate) == share.value
