@@ -1,4 +1,4 @@
-"""Pairwise fairness criteria, reports, envy graphs, Pareto checks.
+"""Pairwise fairness criteria, reports and envy graphs.
 
 A comparison criterion looks at one ordered pair of bundles through one
 agent's eyes: the agent's own bundle B_I against another bundle B_U. The
@@ -35,9 +35,13 @@ from .model import (
 
 BASES = ("ef", "ef1", "efx", "efl")
 
-# Strict implications among the goods notions, checked by the sweep harness:
-# every allocation satisfying the left notion must satisfy the right one.
+# Implications among the goods notions, checked by the sweep harness: every
+# allocation satisfying the left notion must satisfy the right one. EF and
+# EF_wc imply each other because values are additive, so common types cancel.
 HIERARCHY_EDGES = (
+    ("ef", "efx"),
+    ("ef", "ef_wc"),
+    ("ef_wc", "ef"),
     ("efx", "efx_wc"),
     ("efx_wc", "efl_wc"),
     ("efl_wc", "ef1_wc"),
@@ -236,9 +240,6 @@ class EnvyGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
 
-    def successors(self, i: int) -> tuple:
-        return tuple(sorted(j for (a, j) in self.edges if a == i))
-
 
 def envy_graph(instance: Instance, allocation: Allocation) -> EnvyGraph:
     """Build the envy graph of a valid allocation (any sign pattern)."""
@@ -275,34 +276,3 @@ def cancel_envy_cycle(
         nxt = cycle[(pos + 1) % len(cycle)]
         bundles[agent] = allocation.bundles[nxt]
     return Allocation(tuple(bundles))
-
-
-def pareto_dominates(instance: Instance, first: Allocation, second: Allocation) -> bool:
-    """Whether `first` weakly improves every agent and strictly improves one."""
-    strict = False
-    for i in range(instance.agents):
-        a = instance.bundle_value(i, first.bundles[i])
-        b = instance.bundle_value(i, second.bundles[i])
-        if a < b:
-            return False
-        if a > b:
-            strict = True
-    return strict
-
-
-def is_pareto_optimal(
-    instance: Instance, allocation: Allocation, budget: Optional[int] = None
-):
-    """Search every allocation for a Pareto improvement.
-
-    Returns (True, None) or (False, dominating allocation), taking the
-    first dominator in enumeration order. Budget caps the number of
-    allocations examined.
-    """
-    from .search import enumerate_allocations
-
-    require_valid(instance, allocation)
-    for other in enumerate_allocations(instance, budget=budget):
-        if pareto_dominates(instance, other, allocation):
-            return False, other
-    return True, None

@@ -105,20 +105,6 @@ def complement_criterion(criterion: ComparisonCriterion) -> ComparisonCriterion:
     return ComparisonCriterion(criterion.base, flipped, criterion.without_commons)
 
 
-def check_value_identity(instance: Instance, allocation: Allocation) -> bool:
-    """Each agent's value for any bundle minus its dual value is their typeset value."""
-    dual = dualize(instance, allocation)
-    n = instance.agents
-    for i in range(n):
-        expected = instance.typeset_value(i)
-        for j in range(n):
-            primal = instance.bundle_value(i, allocation.bundles[j])
-            mirrored = dual.instance.bundle_value(i, dual.allocation.bundles[j])
-            if primal - mirrored != expected:
-                return False
-    return True
-
-
 def check_envy_duality(
     instance: Instance, allocation: Allocation, criterion: ComparisonCriterion
 ) -> bool:

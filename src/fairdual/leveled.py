@@ -49,11 +49,6 @@ def leveled_counterexample(instance: Instance, agent: int) -> Optional[tuple]:
     return None
 
 
-def is_leveled(instance: Instance, agent: int) -> bool:
-    """Whether the agent strictly prefers any larger bundle to any smaller one."""
-    return leveled_counterexample(instance, agent) is None
-
-
 def require_leveled(instance: Instance) -> None:
     for agent in range(instance.agents):
         gap = leveled_counterexample(instance, agent)

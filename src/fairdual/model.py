@@ -205,9 +205,6 @@ class Instance:
             return "chores"
         return None
 
-    def copies(self, name: str) -> int:
-        return self.types[self.position(name)].copies
-
     def position(self, name: str) -> int:
         try:
             return self.index[name]
@@ -256,9 +253,6 @@ class Allocation:
     @staticmethod
     def of(*bundles: Iterable) -> "Allocation":
         return Allocation(tuple(frozenset(b) for b in bundles))
-
-    def __len__(self) -> int:
-        return len(self.bundles)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .model import (
     BudgetExceededError,
     CertificateError,
     Instance,
-    ItemType,
+    InstanceError,
     OrientationError,
     _integer_row,
     require_valid,
@@ -353,13 +353,15 @@ def aps_share(
         weights = list(prices_at_cut)
     vector = PriceVector(tuple(zip(names, weights)), b)
 
+    value = base + shift + free_value
     best = _best_within_budget(values, weights, budget)
     if best != free_value:
+        found = "no bundle" if best is None else base + shift + best
         raise CertificateError(
-            f"anyprice certificate failed re-verification: the best bundle "
-            f"within budget is worth {best}, not {free_value}"
+            f"anyprice certificate failed re-verification: its prices "
+            f"certify {found}, not {value}"
         )
-    return ShareValue(value=base + shift + free_value, certificate=vector)
+    return ShareValue(value=value, certificate=vector)
 
 
 def check_aps_entitlement_duality(
@@ -388,35 +390,15 @@ def check_aps_entitlement_duality(
     return True
 
 
-def aps_copy_shift_check(
-    instance: Instance,
-    agent: int,
-    value: Fraction,
-    entitlement: Optional[Fraction] = None,
-) -> bool:
-    """Adding a full-copy good moves the anyprice share by exactly its value."""
-    if not instance.goods_pure:
-        raise OrientationError("copy-shift check expects a goods-pure instance")
-    shift = Fraction(value)
-    if shift < 0:
-        raise ValueError("a good's value cannot be negative")
-    name = "shifted"
-    while any(t.name == name for t in instance.types):
-        name += "_"
-    extended = Instance(
-        agents=instance.agents,
-        types=instance.types + (ItemType(name, instance.agents),),
-        values=tuple(row + (shift,) for row in instance.values),
-    )
-    before = aps_share(instance, agent, entitlement).value
-    after = aps_share(extended, agent, entitlement).value
-    return after == before + shift
-
-
 def share_value(
     instance: Instance, spec: ShareSpec, budget: Optional[int] = None
 ) -> ShareValue:
     """Dispatch a ShareSpec to the right computation."""
+    if not 0 <= spec.agent < instance.agents:
+        raise InstanceError(
+            f"agent {spec.agent} out of range: the instance has agents "
+            f"0..{instance.agents - 1}"
+        )
     if spec.kind == "prop":
         return ShareValue(value=prop_share(instance, spec.agent))
     if spec.kind == "mms":

@@ -11,7 +11,7 @@ report, not a shrug. Reports are deterministic functions of the config.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -86,13 +86,7 @@ class SweepReport:
 
     def to_json(self) -> dict:
         return {
-            "config": {
-                "seed": self.config.seed,
-                "count": self.config.count,
-                "max_agents": self.config.max_agents,
-                "max_types": self.config.max_types,
-                "max_value": self.config.max_value,
-            },
+            "config": asdict(self.config),
             "generator_version": self.generator_version,
             "instances": self.instances,
             "skipped": self.skipped,

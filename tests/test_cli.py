@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -163,6 +164,23 @@ def test_shares_aps_certificate(tmp_path, capsys):
     assert row["value"] == -16
     prices = dict(row["certificate"]["prices"])
     assert set(prices) == {f"c{k}" for k in range(2, 7)}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--share", "prop", "--agent", "-1"],
+        ["--share", "mms", "--agent", "-2", "--json"],
+        ["--share", "prop", "--agent", "3"],
+    ],
+)
+def test_shares_rejects_an_agent_out_of_range(doubled_types, flags, capsys):
+    code = main(["shares", "--instance", doubled_types, *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"agent {flags[3]} out of range: the instance has agents 0..2"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_shares_needs_agent_or_all(doubled_types, capsys):
@@ -347,6 +365,25 @@ def _exit_code_after_cli_import(check):
 
 def test_cli_import_does_not_load_sympy():
     assert _exit_code_after_cli_import("'sympy' in sys.modules") == 0
+
+
+def test_package_imports_the_standard_library_only():
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    allowed = sys.stdlib_module_names | {"fairdual"}
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in allowed, (name, module)
 
 
 def test_cli_import_does_not_load_multiprocessing():

@@ -13,9 +13,7 @@ from fairdual.criteria import (
     criterion_for,
     envy_graph,
     is_fair,
-    is_pareto_optimal,
     parse_notion,
-    pareto_dominates,
 )
 from fairdual.model import Allocation, Instance, ItemType, bundle
 from fairdual.randgen import random_allocation, random_instance
@@ -183,7 +181,6 @@ def test_envy_graph_and_cycle_cancel():
     allocation = Allocation.of(["a"], ["b"])
     graph = envy_graph(instance, allocation)
     assert graph.has_edge(0, 1) and graph.has_edge(1, 0)
-    assert set(graph.successors(0)) == {1}
     swapped = cancel_envy_cycle(instance, allocation, (0, 1))
     assert swapped.bundles[0] == bundle("b")
     assert swapped.bundles[1] == bundle("a")
@@ -202,23 +199,3 @@ def test_cancel_requires_actual_cycle():
         cancel_envy_cycle(instance, allocation, (0, 1))
     with pytest.raises(NotACycleError):
         cancel_envy_cycle(instance, allocation, (1, 1))
-
-
-def test_pareto_helpers():
-    instance = Instance(
-        agents=2,
-        types=(ItemType("a", 1), ItemType("b", 1)),
-        values=(
-            (Fraction(3), Fraction(1)),
-            (Fraction(1), Fraction(3)),
-        ),
-    )
-    aligned = Allocation.of(["a"], ["b"])
-    crossed = Allocation.of(["b"], ["a"])
-    assert pareto_dominates(instance, aligned, crossed)
-    assert not pareto_dominates(instance, crossed, aligned)
-    assert not pareto_dominates(instance, aligned, aligned)
-    optimal, dominator = is_pareto_optimal(instance, aligned)
-    assert optimal and dominator is None
-    optimal, dominator = is_pareto_optimal(instance, crossed)
-    assert not optimal and dominator == aligned

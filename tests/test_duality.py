@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairdual.criteria import ComparisonCriterion, criterion_for, is_fair
 from fairdual.duality import (
     DroppedType,
     check_envy_duality,
     check_share_duality,
-    check_value_identity,
     complement_criterion,
     dualize,
 )
@@ -36,7 +37,7 @@ def test_dual_copies_and_negation():
     instance = section_instance()
     dual = dualize(instance).instance
     assert dual.type_names() == ("t1", "t2", "t3", "t4")
-    assert all(dual.copies(t) == 1 for t in dual.type_names())
+    assert all(t.copies == 1 for t in dual.types)
     assert dual.value(0, "t4") == -9
     assert dual.orientation() == "chores"
 
@@ -91,12 +92,57 @@ def test_reinsert_rejects_name_collisions():
         dualize(result.instance, reinsert=(clashing,))
 
 
-def test_value_identity_on_random_instances():
-    rng = random.Random(11)
-    for _ in range(120):
-        instance = random_instance(rng, max_agents=4, max_types=5)
-        allocation = random_allocation(rng, instance)
-        assert check_value_identity(instance, allocation)
+@st.composite
+def allocated_instances(draw):
+    """1-4 agents, 0-5 goods or chores with copies 1..n, and a complete allocation.
+
+    Copies reach n, so full-copy types, which the dual drops, turn up.
+    """
+    n = draw(st.integers(1, 4))
+    copies = draw(st.lists(st.integers(1, n), max_size=5))
+    signs = [draw(st.sampled_from((1, -1))) for _ in copies]
+    value = st.builds(Fraction, st.integers(0, 12), st.integers(1, 5))
+    instance = Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
+        values=tuple(tuple(s * draw(value) for s in signs) for _ in range(n)),
+    )
+    holders = [draw(st.permutations(range(n)))[:c] for c in copies]
+    allocation = Allocation(
+        tuple(
+            frozenset(f"t{k}" for k, held in enumerate(holders) if i in held)
+            for i in range(n)
+        )
+    )
+    return instance, allocation
+
+
+@settings(max_examples=100, deadline=None)
+@given(allocated_instances())
+@example(
+    (
+        Instance(
+            agents=2,
+            types=(ItemType("a", 2), ItemType("b", 1)),
+            values=((Fraction(5), Fraction(1)), (Fraction(4), Fraction(2))),
+        ),
+        Allocation.of(["a", "b"], ["a"]),
+    )
+)
+def test_value_identity_on_random_instances(case):
+    """v(primal) - v(dual) = v(all types), for every agent and every bundle.
+
+    Agent i's value for bundle j, minus their value for j's dual bundle, is
+    i's value for one copy of each type, dropped full-copy types included.
+    """
+    instance, allocation = case
+    dual = dualize(instance, allocation)
+    for i in range(instance.agents):
+        for primal, mirrored in zip(allocation.bundles, dual.allocation.bundles):
+            shift = instance.bundle_value(i, primal) - dual.instance.bundle_value(
+                i, mirrored
+            )
+            assert shift == sum(instance.values[i])
 
 
 def test_complement_criterion_flips_orientation_only():

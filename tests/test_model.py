@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdual.leveled import is_leveled, leveled_counterexample
+from fairdual.leveled import leveled_counterexample
 from fairdual.model import (
     Allocation,
     Instance,
@@ -154,14 +154,13 @@ def test_type_tags_match_fraction_comparisons(n, draws):
 
 def test_value_accessors():
     instance = three_agent_instance()
-    assert instance.copies("t4") == 2
     assert instance.position("t3") == 2
     assert instance.value(0, "t4") == 9
     assert instance.bundle_value(1, bundle("t1", "t2")) == 3
     assert instance.total_value(0) == 2 * (1 + 2 + 3 + 9)
     assert instance.typeset_value(0) == 15
     with pytest.raises(UnknownTypeError):
-        instance.copies("nope")
+        instance.position("nope")
 
 
 def test_validate_allocation_catches_copy_mismatch():
@@ -193,13 +192,13 @@ def test_leveled_predicate():
             (Fraction(1), Fraction(1), Fraction(1), Fraction(1)),
         ),
     )
-    assert is_leveled(instance, 0) and is_leveled(instance, 1)
+    assert leveled_counterexample(instance, 0) is None
+    assert leveled_counterexample(instance, 1) is None
     spiky = Instance(
         agents=2,
         types=(ItemType("a", 1), ItemType("b", 1), ItemType("c", 1)),
         values=((Fraction(10), Fraction(1), Fraction(1)),) * 2,
     )
-    assert not is_leveled(spiky, 0)
     larger, smaller = leveled_counterexample(spiky, 0)
     assert larger == smaller + 1
     # the two cheapest goods together fall below the single dearest one

@@ -33,7 +33,6 @@ from fairdual.search import plan_total
 from fairdual.shares import (
     PriceVector,
     ShareSpec,
-    aps_copy_shift_check,
     aps_share,
     check_alpha_mms,
     check_aps_entitlement_duality,
@@ -331,6 +330,24 @@ def test_aps_entitlement_duality_identity():
     assert aps_share(chores, 0, Fraction(3, 4)).value == dual_value - 20
 
 
+def assert_copy_shift(instance, agent, value, entitlement=None):
+    """Adding a full-copy type worth `value` moves the anyprice share by `value`.
+
+    `aps_share` adds full-copy types as a constant before any LP, so the
+    shifted share is also held against the frozen reference search.
+    """
+    assert "shifted" not in instance.index
+    extended = Instance(
+        agents=instance.agents,
+        types=instance.types + (ItemType("shifted", instance.agents),),
+        values=tuple(row + (value,) for row in instance.values),
+    )
+    before = aps_share(instance, agent, entitlement).value
+    after = aps_share(extended, agent, entitlement).value
+    assert after == before + value
+    assert after == reference_aps_share(extended, agent, entitlement).value
+
+
 def test_aps_unit_pair_and_forced_shift():
     pair = Instance(
         agents=2,
@@ -338,7 +355,8 @@ def test_aps_unit_pair_and_forced_shift():
         values=((Fraction(1), Fraction(1)),) * 2,
     )
     assert aps_share(pair, 0).value == 1
-    assert aps_copy_shift_check(pair, 0, Fraction(3))
+    assert_copy_shift(pair, 0, Fraction(3))
+    assert_copy_shift(chores_instance(), 0, Fraction(-7, 2), Fraction(3, 4))
 
 
 def test_aps_forced_only_instance():
@@ -426,8 +444,13 @@ def test_aps_formerly_failing_instance():
 
 def test_aps_certificate_failure_is_an_error(monkeypatch):
     monkeypatch.setattr(shares, "_best_within_budget", lambda *args: None)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="certify no bundle, not 6"):
         aps_share(formerly_failing_instance(), 1)
+    # Chores are solved on the negated row; the message speaks in shares.
+    # Its empty bundle stands for taking every chore: -20 against -16.
+    monkeypatch.setattr(shares, "_best_within_budget", lambda values, *rest: values[0])
+    with pytest.raises(CertificateError, match="certify -20, not -16"):
+        aps_share(chores_instance(), 0, Fraction(3, 4))
 
 
 @st.composite
@@ -456,6 +479,8 @@ def test_aps_property_on_random_goods(instance, data):
     dual = dualize(instance).instance
     mirrored = aps_share(dual, agent, 1 - b).value
     assert mirrored == value - instance.typeset_value(agent)
+    shift = data.draw(st.builds(Fraction, st.integers(0, 12)))
+    assert_copy_shift(instance, agent, shift)
 
 
 @st.composite

@@ -65,3 +65,4 @@ def test_skipped_instances_are_reported():
     assert 0 < capped.skipped < capped.instances == 40
     assert capped.allocations < full.allocations
     assert capped.to_json()["skipped"] == capped.skipped
+    assert SweepConfig(**capped.to_json()["config"]) == capped.config
