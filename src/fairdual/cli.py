@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional
 
@@ -126,10 +127,7 @@ def _cmd_check(args) -> int:
                 "notion": criterion.notion,
                 "orientation": criterion.orientation,
                 "fair": report.fair,
-                "witnesses": [
-                    {"envious": w.envious, "envied": w.envied, "item": w.item}
-                    for w in report.witnesses
-                ],
+                "witnesses": [asdict(w) for w in report.witnesses],
             }
         )
     else:
@@ -269,16 +267,7 @@ def _cmd_solve_leveled(args) -> int:
                 "bundles": _bundles_json(result.allocation, instance),
                 "initial": _bundles_json(result.initial, instance),
                 "initial_potential": result.initial_potential,
-                "swaps": [
-                    {
-                        "envious": s.envious,
-                        "envied": s.envied,
-                        "gained": s.gained,
-                        "lost": s.lost,
-                        "potential": s.potential,
-                    }
-                    for s in result.trace
-                ],
+                "swaps": [asdict(s) for s in result.trace],
             }
         )
     else:

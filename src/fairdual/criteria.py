@@ -12,11 +12,12 @@ rest of the family:
 
 The two modifiers commute, so applying strip-then-complement is exact.
 
-Pair tests run on integers: `_rows` scales each agent's row by the LCM of
-its denominators (a positive factor, so no comparison changes) and negates
-it for chores, and a bundle is a mask with bit p set for the type at
-position p. `criterion_eval` strips with `a & ~b` / `b & ~a`, swaps the
-sides for chores and decides a goods base on the row's entries at the bits.
+Pair tests run on integers. They read `Instance.kernel`, compiled once per
+instance: each agent's row times the LCM of its denominators (a positive
+factor, so no comparison changes). `_rows` negates it for chores, and a
+bundle is a mask with bit p set for the type at position p.
+`criterion_eval` strips with `a & ~b` / `b & ~a`, swaps the sides for
+chores and decides a goods base on the row's entries at the bits.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .model import (
     Instance,
     NotACycleError,
     OrientationError,
-    _integer_row,
     require_valid,
 )
 
@@ -102,11 +102,10 @@ def criterion_for(
     return ComparisonCriterion(base, orientation, wc)
 
 
-def _rows(instance: Instance, orientation: str = "goods") -> tuple:
-    """Per agent, the integer row (negated for chores), and the row scales."""
-    sign = -1 if orientation == "chores" else 1
-    compiled = [_integer_row(values) for values in instance.values]
-    return [[sign * v for v in row] for row, _ in compiled], [s for _, s in compiled]
+def _rows(instance: Instance, orientation: str = "goods"):
+    """Per agent, the kernel row, negated for chores."""
+    rows = instance.kernel.rows
+    return [[-v for v in row] for row in rows] if orientation == "chores" else rows
 
 
 def _entries(row, mask: int) -> list:
@@ -217,7 +216,7 @@ def is_fair(
     """
     require_valid(instance, allocation)
     require_orientation(instance, criterion)
-    rows, _ = _rows(instance, criterion.orientation)
+    rows = _rows(instance, criterion.orientation)
     masks = _masks(instance, allocation.bundles)
     witnesses = []
     for i, row in enumerate(rows):

@@ -14,15 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .criteria import ComparisonCriterion, _bits, _bundles, _masks, _rows
-from .model import (
-    Allocation,
-    FairdualError,
-    Instance,
-    InstanceError,
-    NotLeveledError,
-    _integer_row,
-)
+from .criteria import ComparisonCriterion, _bits, _bundles, _masks
+from .model import Allocation, FairdualError, Instance, InstanceError, NotLeveledError
 from .search import _first_unfair_pair
 
 
@@ -35,7 +28,7 @@ def leveled_counterexample(instance: Instance, agent: int) -> Optional[tuple]:
     ascending sort of the integer row and two running sums check every m;
     returns (m + 1, m) for the first failing m.
     """
-    ascending = sorted(_integer_row(instance.values[agent])[0])
+    ascending = sorted(instance.kernel.rows[agent])
     if ascending and ascending[0] < 0:
         raise InstanceError(
             f"agent {agent} has negative values; leveledness is a goods notion"
@@ -90,7 +83,7 @@ def _rank_sum(ranks, masks) -> int:
 
 def potential(instance: Instance, allocation: Allocation) -> int:
     """Rank-sum of the lower-level bundles (all bundles if one level)."""
-    return _rank_sum(_rank_tables(_rows(instance)[0]), _masks(instance, allocation.bundles))
+    return _rank_sum(_rank_tables(instance.kernel.rows), _masks(instance, allocation.bundles))
 
 
 @dataclass(frozen=True)
@@ -114,7 +107,7 @@ def solve_leveled_efxwc(instance: Instance) -> LeveledResult:
     """Find an allocation nobody EFX-envies after stripping shared types."""
     require_leveled(instance)
     criterion = ComparisonCriterion("efx", "goods", without_commons=True)
-    rows, _ = _rows(instance)
+    rows = instance.kernel.rows
     initial = round_robin_init(instance)
     start = _masks(instance, initial.bundles)
     masks = start.copy()

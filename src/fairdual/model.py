@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 
 class FairdualError(Exception):
@@ -95,6 +95,13 @@ def format_rational(value: Fraction):
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"
+
+
+class Kernel(NamedTuple):
+    """Integer rows: agent i's values times scales[i], the LCM of their denominators."""
+
+    rows: tuple
+    scales: tuple
 
 
 @dataclass(frozen=True)
@@ -184,6 +191,12 @@ class Instance:
             else:
                 tags.append("zero")
         return tuple(tags)
+
+    @cached_property
+    def kernel(self) -> Kernel:
+        """The integer rows (signs kept) and their scales, compiled on first use."""
+        compiled = [_integer_row(row) for row in self.values]
+        return Kernel(tuple(tuple(r) for r, _ in compiled), tuple(s for _, s in compiled))
 
     @property
     def goods_pure(self) -> bool:

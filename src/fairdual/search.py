@@ -8,8 +8,9 @@ start at any plan index, so memory does not grow with the plan and every
 budget is checked before any work. Every certificate produced from it is
 therefore reproducible bit for bit.
 
-The walk yields per-agent type masks and own-bundle totals on integer rows,
-and updates both for a changed type's old and new holders only. It can also
+The walk yields per-agent type masks and own-bundle totals on the integer
+rows of `Instance.kernel`, which an instance compiles once and keeps, and
+updates both for a changed type's old and new holders only. It can also
 skip the rest of the subtree under a prefix of types. Existence and
 counting skip each subtree in which a failing pair fails everywhere (see
 `_refuted_depth`), so a certificate's `checked` is a plan position: every
@@ -65,18 +66,19 @@ def _holder_sets_from(n: int, k: int, rank: int) -> Iterator[tuple]:
             yield head + tail
 
 
-def _walk(instance: Instance, rows, start: int = 0) -> Iterator[tuple]:
+def _walk(instance: Instance, start: int = 0) -> Iterator[tuple]:
     """Yield (masks, own) per allocation in plan order, from plan index `start`.
 
     `masks[a]` has bit p set when agent a holds the type at position p, and
-    `own[a]` is `rows[a]` summed over `masks[a]`. Both are the walk's own
-    lists, changed in place by the next step: copy them to keep them.
-    `walk.send(d)` skips the rest of the subtree under the current prefix
-    of types 0..d and yields the first allocation after it; d = -1 ends
-    the walk. A plain `next` is `send(len(types) - 1)`.
+    `own[a]` is agent a's kernel row summed over `masks[a]`. Both are the
+    walk's own lists, changed in place by the next step: copy them to keep
+    them. `walk.send(d)` skips the rest of the subtree under the current
+    prefix of types 0..d and yields the first allocation after it; d = -1
+    ends the walk. A plain `next` is `send(len(types) - 1)`.
     """
     n = instance.agents
     types = instance.types
+    rows = instance.kernel.rows
     digits = []
     for t in reversed(types):
         start, digit = divmod(start, math.comb(n, t.copies))
@@ -128,8 +130,7 @@ def enumerate_allocations(
     (default DEFAULT_ENUM_CAP) with allocations still unvisited.
     """
     cap = DEFAULT_ENUM_CAP if budget is None else budget
-    rows, _ = _rows(instance)
-    for _, (masks, _) in zip(range(cap), _walk(instance, rows)):
+    for _, (masks, _) in zip(range(cap), _walk(instance)):
         yield Allocation(_bundles(instance, masks))
     _require_within_budget(instance, budget)
 
@@ -150,7 +151,7 @@ def allocation_at(instance: Instance, index: int) -> Allocation:
     total = plan_total(instance)
     if not 0 <= index < total:
         raise IndexError(f"index {index} outside plan of size {total}")
-    masks, _ = next(_walk(instance, _rows(instance)[0], index))
+    masks, _ = next(_walk(instance, index))
     return Allocation(_bundles(instance, masks))
 
 
@@ -187,17 +188,17 @@ def _refuted_depth(criterion, row, mask_i: int, mask_j: int, full: int, everythi
 
     Returns the shallowest depth d such that the pair fails on every
     allocation sharing this one's holders of types 0..d, or -1 when it
-    fails on the whole plan. `row` is agent i's kernel row, `full` the mask
-    of the full-copy types and `everything` the mask of all types.
+    fails on the whole plan. `row` is agent i's row from `_rows`, `full`
+    the mask of the full-copy types and `everything` the mask of all types.
 
-    Soundness: `require_orientation` makes every kernel row non-negative,
-    and for every base, plain or `_wc`, an item on the own side never
-    hurts, an item on the other side never helps, and a shared item is
-    never better than own-only. So the pair's best completion of a prefix
-    gives each later type that is not full to the favoured agent alone (i
-    for goods, j for chores, whose sides swap) and each full-copy type to
-    both; if the pair fails there, it fails on every allocation in the
-    subtree. Climbing from the deepest prefix, trailing types that this
+    Soundness: `require_orientation` makes every row `_rows` gives
+    non-negative, and for every base, plain or `_wc`, an item on the own
+    side never hurts, an item on the other side never helps, and a shared
+    item is never better than own-only. So the pair's best completion of a
+    prefix gives each later type that is not full to the favoured agent
+    alone (i for goods, j for chores, whose sides swap) and each full-copy
+    type to both; if the pair fails there, it fails on every allocation in
+    the subtree. Climbing from the deepest prefix, trailing types that this
     allocation already gives the favoured agent alone need no evaluation;
     each other type costs one, until the pair passes.
     """
@@ -225,7 +226,7 @@ def _fair_indices(instance, criterion, start: int, stop: int) -> Iterator[int]:
     """
     if start >= stop:
         return
-    rows, _ = _rows(instance, criterion.orientation)
+    rows = _rows(instance, criterion.orientation)
     n, last = instance.agents, len(instance.types) - 1
     everything = (1 << len(instance.types)) - 1
     full = sum(1 << p for p, t in enumerate(instance.types) if t.copies == n)
@@ -234,7 +235,7 @@ def _fair_indices(instance, criterion, start: int, stop: int) -> Iterator[int]:
     for t in reversed(instance.types):
         below.append(below[-1] * math.comb(n, t.copies))
     below.reverse()
-    walk = _walk(instance, rows, start)
+    walk = _walk(instance, start)
     masks, _ = next(walk)
     index = start
     while True:
@@ -376,10 +377,10 @@ def max_nash_welfare(
     if not instance.goods_pure:
         raise OrientationError("Nash welfare maximization expects a goods-pure instance")
     _require_within_budget(instance, budget)
-    rows, scales = _rows(instance)
     best, best_welfare = None, -1  # every product is >= 0 on goods
-    for masks, own in _walk(instance, rows):
+    for masks, own in _walk(instance):
         welfare = math.prod(own)
         if welfare > best_welfare:
             best, best_welfare = tuple(masks), welfare
-    return Allocation(_bundles(instance, best)), Fraction(best_welfare, math.prod(scales))
+    welfare = Fraction(best_welfare, math.prod(instance.kernel.scales))
+    return Allocation(_bundles(instance, best)), welfare

@@ -31,10 +31,9 @@ from .model import (
     Instance,
     InstanceError,
     OrientationError,
-    _integer_row,
     require_valid,
 )
-from .search import DEFAULT_ENUM_CAP, plan_total
+from .search import _require_within_budget
 
 SHARE_KINDS = ("prop", "mms", "tps", "aps")
 
@@ -89,7 +88,17 @@ class PriceVector:
         return sum((w for t, w in self.prices if t in bundle), Fraction(0))
 
 
+def _require_agent(instance: Instance, agent: int) -> None:
+    """Refuse an agent outside 0..n-1; a negative index would wrap around."""
+    if not 0 <= agent < instance.agents:
+        raise InstanceError(
+            f"agent {agent} out of range: the instance has agents "
+            f"0..{instance.agents - 1}"
+        )
+
+
 def prop_share(instance: Instance, agent: int) -> Fraction:
+    _require_agent(instance, agent)
     return instance.total_value(agent) / instance.agents
 
 
@@ -101,19 +110,14 @@ def mms_share(
     Allocations that permute bundles are equivalent, so a state is the
     non-increasing tuple of bundle totals (the agent's row scaled to
     integers), grown type by type. No layer outgrows its prefix plan, so a
-    plan over the budget raises BudgetExceededError before any work; large
-    instances go through verify_mms_lower_bound with a witness instead. The
-    maximizing allocation is re-verified; a mismatch is a CertificateError.
+    plan over the budget is refused before any work, as in `count_fair`;
+    large instances go through verify_mms_lower_bound with a witness instead.
+    The maximizing allocation is re-verified; a mismatch is a CertificateError.
     """
-    cap = DEFAULT_ENUM_CAP if budget is None else budget
-    total = plan_total(instance)
-    if total > cap:
-        raise BudgetExceededError(
-            f"maximin enumeration needs {total} allocations, budget {cap}; "
-            "supply a witness to verify_mms_lower_bound instead"
-        )
+    _require_agent(instance, agent)
+    _require_within_budget(instance, budget)
     n = instance.agents
-    ints, scale = _integer_row(instance.values[agent])
+    ints, scale = instance.kernel.rows[agent], instance.kernel.scales[agent]
     # layers[k] maps each state after k types to its (parent, holders).
     layers = [{(0,) * n: None}]
     for t, v in zip(instance.types, ints):
@@ -151,6 +155,7 @@ def verify_mms_lower_bound(
     instance: Instance, agent: int, witness: Allocation
 ) -> Fraction:
     """Certified maximin lower bound: the witness's minimum bundle value."""
+    _require_agent(instance, agent)
     require_valid(instance, witness)
     return min(instance.bundle_value(agent, b) for b in witness.bundles)
 
@@ -210,6 +215,7 @@ def tps_share(instance: Instance, agent: int) -> ShareValue:
     equal to z, found by scanning how many copies get truncated. Chores:
     min of the proportional share and the single worst chore.
     """
+    _require_agent(instance, agent)
     orientation = instance.orientation()
     if orientation is None:
         raise OrientationError("truncated proportional share needs a sign-pure instance")
@@ -307,6 +313,7 @@ def aps_share(
     strictly better bundle fits the budget. They are re-verified by direct
     enumeration before returning; a failure raises CertificateError.
     """
+    _require_agent(instance, agent)
     orientation = instance.orientation()
     if orientation is None:
         raise OrientationError("anyprice share needs a sign-pure instance")
@@ -394,11 +401,6 @@ def share_value(
     instance: Instance, spec: ShareSpec, budget: Optional[int] = None
 ) -> ShareValue:
     """Dispatch a ShareSpec to the right computation."""
-    if not 0 <= spec.agent < instance.agents:
-        raise InstanceError(
-            f"agent {spec.agent} out of range: the instance has agents "
-            f"0..{instance.agents - 1}"
-        )
     if spec.kind == "prop":
         return ShareValue(value=prop_share(instance, spec.agent))
     if spec.kind == "mms":

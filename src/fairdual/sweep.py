@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .criteria import BASES, HIERARCHY_EDGES, ComparisonCriterion, _bundles, _rows
+from .criteria import BASES, HIERARCHY_EDGES, ComparisonCriterion, _bundles
 from .model import Instance, format_rational, instance_to_json
 from .randgen import GENERATOR_VERSION, random_instance
 from .search import _first_unfair_pair, _walk, plan_total
@@ -139,12 +139,12 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         if plan_total(instance) > config.plan_cap:
             skipped += 1
             continue
-        rows, scales = _rows(instance)
+        rows, scales = instance.kernel
         maximins = [
             mms_share(instance, agent, budget=config.plan_cap).value
             for agent in range(instance.agents)
         ]
-        for masks, own in _walk(instance, rows):
+        for masks, own in _walk(instance):
             total_allocations += 1
             verdict = {
                 c.notion: _first_unfair_pair(rows, c, masks) is None

@@ -21,8 +21,8 @@ def one_agent(valuation):
 
 def _compiled(criterion, valuation, bundle_i, bundle_u):
     instance = one_agent(valuation)
-    rows, _ = _rows(instance, criterion.orientation)
-    return instance, rows[0], *_masks(instance, (bundle_i, bundle_u))
+    row = _rows(instance, criterion.orientation)[0]
+    return instance, row, *_masks(instance, (bundle_i, bundle_u))
 
 
 def pair_eval(criterion, valuation, bundle_i, bundle_u):
@@ -38,5 +38,4 @@ def pair_item(criterion, valuation, bundle_i, bundle_u):
 
 def walk_bundles(instance, start=0):
     """The plan walk from `start`, each step decoded to a tuple of bundles."""
-    rows, _ = _rows(instance)
-    return [_bundles(instance, masks) for masks, _ in search._walk(instance, rows, start)]
+    return [_bundles(instance, masks) for masks, _ in search._walk(instance, start)]

@@ -61,6 +61,18 @@ def test_check_unfair_exits_one_with_witnesses(doubled_types, witness, capsys):
     assert [w["envied"] for w in payload["witnesses"]] == [0, 1]
 
 
+def test_check_json_witnesses_carry_every_field(doubled_types, witness, capsys):
+    for notion, items in (("efx", ["t1", "t3"]), ("ef", [None, None])):
+        main(["check", "--instance", doubled_types, "--allocation", witness,
+              "--notion", notion, "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["witnesses"] == [
+            {"envious": 2, "envied": 0, "item": items[0]},
+            {"envious": 2, "envied": 1, "item": items[1]},
+        ]
+        assert [list(w) for w in payload["witnesses"]] == [["envious", "envied", "item"]] * 2
+
+
 def test_check_orientation_mismatch_is_an_error(doubled_types, witness, capsys):
     code = main(
         ["check", "--instance", doubled_types, "--allocation", witness,
@@ -226,6 +238,27 @@ def test_solve_leveled(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["bundles"]) == 2
     assert isinstance(payload["swaps"], list)
+
+
+def test_solve_leveled_json_swaps_carry_every_field(tmp_path, capsys):
+    instance = write_json(
+        tmp_path / "one-swap.json",
+        {
+            "agents": 2,
+            "types": [
+                {"name": "a", "copies": 1, "values": {"shared": 1}},
+                {"name": "b", "copies": 1, "values": {"shared": 1}},
+                {"name": "c", "copies": 1, "values": {"shared": "3/2"}},
+            ],
+        },
+    )
+    assert main(["solve-leveled", "--instance", instance, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["bundles", "initial", "initial_potential", "swaps"]
+    assert payload["swaps"] == [
+        {"envious": 1, "envied": 0, "gained": "c", "lost": "b", "potential": 3}
+    ]
+    assert list(payload["swaps"][0]) == ["envious", "envied", "gained", "lost", "potential"]
 
 
 def test_replicate_single_and_unknown(capsys):

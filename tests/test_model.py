@@ -1,3 +1,6 @@
+import importlib
+import math
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -5,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdual.leveled import leveled_counterexample
+import fairdual
+from fairdual import model
+from fairdual.criteria import ComparisonCriterion, is_fair
+from fairdual.leveled import leveled_counterexample, solve_leveled_efxwc
 from fairdual.model import (
     Allocation,
     Instance,
@@ -22,6 +28,8 @@ from fairdual.model import (
     require_valid,
     validate_allocation,
 )
+from fairdual.search import count_fair, exists_fair, max_nash_welfare
+from fairdual.shares import mms_share
 
 
 def three_agent_instance():
@@ -150,6 +158,61 @@ def test_type_tags_match_fraction_comparisons(n, draws):
             Instance(agents=n, types=types, values=values)
     else:
         assert Instance(agents=n, types=types, values=values).type_tags == tuple(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(signed_columns.filter(lambda c: reference_tag(c) != "mixed"), max_size=5),
+)
+def test_kernel_rows_are_values_times_the_lcm_of_their_denominators(n, draws):
+    """Goods, chores and zero types; so rows that mix signs, all-zero rows, no types."""
+    columns = [(draw * n)[:n] for draw in draws]
+    instance = Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", 1) for k in range(len(columns))),
+        values=tuple(tuple(column[i] for column in columns) for i in range(n)),
+    )
+    rows, scales = instance.kernel
+    assert instance.kernel is instance.kernel
+    assert len(rows) == len(scales) == n
+    for values, row, scale in zip(instance.values, rows, scales):
+        assert scale == math.lcm(*(v.denominator for v in values))
+        assert type(row) is tuple and all(type(x) is int for x in row)
+        assert row == tuple(v * scale for v in values)
+
+
+def test_every_consumer_reads_the_one_compiled_kernel(monkeypatch):
+    """One goods instance through solver, pair check, search, Nash and maximin: n compiles."""
+    calls = []
+    original = model._integer_row
+
+    def counted(values):
+        calls.append(values)
+        return original(values)
+
+    for info in pkgutil.iter_modules(fairdual.__path__):
+        module = importlib.import_module(f"fairdual.{info.name}")
+        if hasattr(module, "_integer_row"):
+            monkeypatch.setattr(module, "_integer_row", counted)
+    n = 3
+    instance = Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", 1 + k % 2) for k in range(4)),
+        values=tuple(
+            tuple(Fraction(10 + (i + k) % 3, 10 + k) for k in range(4)) for i in range(n)
+        ),
+    )
+    assert calls == []
+    criterion = ComparisonCriterion("efx", "goods", without_commons=True)
+    allocation = solve_leveled_efxwc(instance).allocation
+    assert is_fair(instance, allocation, criterion).fair
+    assert exists_fair(instance, criterion).exists
+    assert count_fair(instance, criterion)[0] > 0
+    max_nash_welfare(instance)
+    for agent in range(n):
+        mms_share(instance, agent)
+    assert len(calls) == n
 
 
 def test_value_accessors():

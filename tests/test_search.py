@@ -20,7 +20,6 @@ from fairdual.criteria import (
     ComparisonCriterion,
     OrientationError,
     _bundles,
-    _rows,
     is_fair,
 )
 from fairdual.duality import dualize
@@ -307,8 +306,8 @@ def test_walk_send_skips_to_the_next_prefix(instance, data):
     depth = data.draw(st.integers(-1, len(instance.types) - 1))
     size = subtree_size(instance, depth)
     landing = (index // size + 1) * size
-    rows, scales = _rows(instance)
-    walk = search._walk(instance, rows, index)
+    scales = instance.kernel.scales
+    walk = search._walk(instance, index)
     next(walk)
     if landing >= total:
         with pytest.raises(StopIteration):

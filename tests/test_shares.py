@@ -24,6 +24,7 @@ from fairdual.model import (
     BudgetExceededError,
     CertificateError,
     Instance,
+    InstanceError,
     ItemType,
     instance_from_json,
     validate_allocation,
@@ -107,7 +108,8 @@ def test_mms_certificate_is_achievable_partition():
 
 def test_mms_budget_guard():
     instance = section_instance()
-    with pytest.raises(BudgetExceededError):
+    message = r"enumeration budget 80 exhausted with allocations remaining \(plan size 81\)"
+    with pytest.raises(BudgetExceededError, match=message):
         mms_share(instance, 0, budget=80)
 
 
@@ -383,6 +385,26 @@ def test_aps_entitlement_validation():
     pair = chores_instance()
     with pytest.raises(ValueError):
         aps_share(pair, 0, Fraction(3, 2))
+
+
+@pytest.mark.parametrize("agent", [-1, 3])
+def test_per_agent_shares_refuse_agents_out_of_range(agent):
+    instance = section_instance()
+    witness = Allocation.of({"t1", "t2", "t3", "t4"}, {"t1", "t2"}, {"t3", "t4"})
+    message = rf"agent {agent} out of range: the instance has agents 0\.\.2"
+    calls = (
+        lambda: prop_share(instance, agent),
+        lambda: mms_share(instance, agent),
+        lambda: tps_share(instance, agent),
+        lambda: aps_share(instance, agent),
+        lambda: verify_mms_lower_bound(instance, agent, witness),
+    )
+    for call in calls:
+        with pytest.raises(InstanceError, match=message):
+            call()
+    for kind in ("prop", "mms", "tps", "aps"):
+        with pytest.raises(InstanceError, match=message):
+            share_value(instance, ShareSpec(kind, agent))
 
 
 def test_share_value_dispatch():
