@@ -61,6 +61,11 @@ class NotLeveledError(FairdualError):
         )
 
 
+def _is_count(value) -> bool:
+    """An int that is not a bool (True would count as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(value) -> Fraction:
     """Convert a JSON scalar to an exact Fraction.
 
@@ -131,7 +136,7 @@ class Instance:
     values: tuple
 
     def __post_init__(self):
-        if not isinstance(self.agents, int) or self.agents < 1:
+        if not _is_count(self.agents) or self.agents < 1:
             raise InstanceError(f"agent count must be a positive int, got {self.agents!r}")
         object.__setattr__(self, "types", tuple(self.types))
         object.__setattr__(
@@ -141,7 +146,7 @@ class Instance:
         if len(set(names)) != len(names):
             raise InstanceError("duplicate type names")
         for t in self.types:
-            if not isinstance(t.copies, int) or not 1 <= t.copies <= self.agents:
+            if not _is_count(t.copies) or not 1 <= t.copies <= self.agents:
                 raise InstanceError(
                     f"type {t.name!r} has {t.copies} copies; need 1..{self.agents}"
                 )
@@ -335,7 +340,7 @@ def instance_from_json(data, on_notice: Optional[Callable] = None) -> Instance:
         raw_types = data["types"]
     except (TypeError, KeyError) as exc:
         raise InstanceError(f"instance JSON missing key: {exc}") from exc
-    if not isinstance(agents, int) or isinstance(agents, bool) or agents < 1:
+    if not _is_count(agents) or agents < 1:
         raise InstanceError(f"agents must be a positive int, got {agents!r}")
     if not isinstance(raw_types, list):
         raise InstanceError("types must be a list")
@@ -352,7 +357,7 @@ def instance_from_json(data, on_notice: Optional[Callable] = None) -> Instance:
             raise InstanceError(f"type entry missing key: {exc}") from exc
         if not isinstance(name, str):
             raise InstanceError(f"type name must be a string, got {name!r}")
-        if not isinstance(copies, int) or isinstance(copies, bool) or copies < 0:
+        if not _is_count(copies) or copies < 0:
             raise InstanceError(f"type {name!r}: copies must be an int >= 0")
         if copies == 0:
             if on_notice is not None:

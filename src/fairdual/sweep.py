@@ -50,6 +50,10 @@ class SweepConfig:
             raise ValueError("need at least two agents")
         if self.max_types < 1:
             raise ValueError("need at least one type")
+        if self.max_value < 0:
+            raise ValueError("max_value must be nonnegative")
+        if self.plan_cap < 1:
+            raise ValueError("plan_cap must be positive")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -199,6 +201,13 @@ def test_shares_needs_agent_or_all(doubled_types, capsys):
     code = main(["shares", "--instance", doubled_types, "--share", "prop"])
     assert code == 2
     assert "agent" in capsys.readouterr().err
+    for agent in ("0", "3"):
+        code = main(["shares", "--instance", doubled_types, "--share", "prop",
+                     "--agent", agent, "--all-agents"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pass --agent N or --all-agents, not both\n"
 
 
 def test_mnw_reports_welfare(tmp_path, capsys):
@@ -307,6 +316,40 @@ def test_sweep_text_reports_skipped_instances(capsys):
     assert f"{skipped} instances skipped (plan over 5)" in out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-value", "-1"], "max_value must be nonnegative"),
+        (["--plan-cap", "-1"], "plan_cap must be positive"),
+        (["--plan-cap", "0", "--json"], "plan_cap must be positive"),
+    ],
+)
+def test_sweep_refuses_an_empty_value_range_or_plan_cap(flags, message, capsys):
+    assert main(["sweep", "--count", "3", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_sweep_flag_defaults_are_the_config_defaults():
+    args = vars(cli.build_parser().parse_args(["sweep"]))
+    names = {f.name for f in fields(SweepConfig)}
+    assert set(args) == names | {"command", "func", "json"}
+    assert SweepConfig(**{name: args[name] for name in names}) == SweepConfig()
+
+
+def test_only_main_prints_a_result_and_picks_an_exit_code():
+    tree = ast.parse(inspect.getsource(cli))
+    commands = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    ]
+    assert len(commands) == 8
+    for node in commands:
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        assert not names & {"print", "OK", "FAIL", "ERROR"}, node.name
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"agents": 3,\n  "types": [,]}')
@@ -380,6 +423,17 @@ def test_unexpected_exception_exits_two(doubled_types, witness, capsys, monkeypa
     assert err.startswith("error: ")
     assert type(crash).__name__ in err
     assert err.count("\n") == 1
+
+
+def test_a_crash_while_rendering_exits_two(doubled_types, witness, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_check", lambda args: (True, {"fair": object()}, []))
+    code = main(["check", "--instance", doubled_types, "--allocation", witness,
+                 "--notion", "efx_wc", "--json"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal TypeError: ")
+    assert "not JSON serializable" in captured.err
 
 
 def _fresh_env(**extra):

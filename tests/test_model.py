@@ -79,6 +79,15 @@ def test_instance_rejects_too_many_copies():
         )
 
 
+def test_instance_rejects_bool_counts():
+    one = ((Fraction(1),),)
+    with pytest.raises(InstanceError, match="agent count must be a positive int"):
+        Instance(agents=True, types=(ItemType("a", 1),), values=one)
+    with pytest.raises(InstanceError, match="has True copies"):
+        Instance(agents=1, types=(ItemType("a", True),), values=one)
+    assert Instance(agents=1, types=(ItemType("a", 1),), values=one).agents == 1
+
+
 def test_instance_rejects_duplicate_type_names():
     with pytest.raises(InstanceError):
         Instance(

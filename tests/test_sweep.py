@@ -24,6 +24,13 @@ def test_config_validation():
         SweepConfig(count=-1)
     with pytest.raises(ValueError):
         SweepConfig(max_agents=1)
+    with pytest.raises(ValueError, match="max_value must be nonnegative"):
+        SweepConfig(max_value=-1)
+    for plan_cap in (0, -1):
+        with pytest.raises(ValueError, match="plan_cap must be positive"):
+            SweepConfig(plan_cap=plan_cap)
+    report = run_sweep(SweepConfig(seed=2, count=3, max_value=0, plan_cap=1))
+    assert (report.instances, report.ok) == (3, True)
 
 
 def test_small_sweep_is_clean_and_counts_add_up():
