@@ -137,7 +137,7 @@ def _cmd_exists(args):
         if witness is not None:
             lines.append(f"  first: {_bundles_json(witness, instance)}")
         return count > 0, payload, lines
-    certificate = exists_fair(instance, criterion, budget=budget, jobs=args.jobs)
+    certificate = exists_fair(instance, criterion, budget=budget)
     payload = _criterion_json(
         criterion,
         exists=certificate.exists,
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         "exists", _cmd_exists, "search all allocations for a notion",
         INSTANCE, *NOTION,
         _flag("--all", action="store_true", help="count every satisfying allocation"),
-        _flag("--jobs", type=int, default=1), BUDGET,
+        BUDGET,
     )
     command(
         "dualize", _cmd_dualize, "emit the dual instance and allocation",

@@ -63,36 +63,25 @@ def dualize(
                 f"for {n} agents"
             )
 
-    survivors = []  # (source position, ItemType, negated values column)
-    dropped = []
-    for pos, t in enumerate(instance.types):
-        column = tuple(instance.values[i][pos] for i in range(n))
-        if t.copies == n:
-            dropped.append(DroppedType(position=pos, item=t, values=column))
-        else:
-            survivors.append(
-                (pos, ItemType(t.name, n - t.copies), tuple(-v for v in column))
-            )
+    keep = [pos for pos, t in enumerate(instance.types) if t.copies < n]
+    dropped = [
+        DroppedType(position=pos, item=t, values=tuple(row[pos] for row in instance.values))
+        for pos, t in enumerate(instance.types)
+        if t.copies == n
+    ]
+    types = [ItemType(t.name, n - t.copies) for t in instance.types if t.copies < n]
+    rows = [[-row[pos] for pos in keep] for row in instance.values]
     for record in sorted(reinsert, key=lambda r: r.position):
-        entry = (record.position, ItemType(record.item.name, n), record.values)
-        survivors.insert(min(record.position, len(survivors)), entry)
-
-    dual_types = tuple(entry[1] for entry in survivors)
-    dual_values = tuple(
-        tuple(entry[2][i] for entry in survivors) for i in range(n)
-    )
-    dual_instance = Instance(agents=n, types=dual_types, values=dual_values)
+        at = min(record.position, len(types))
+        types.insert(at, ItemType(record.item.name, n))
+        for row, value in zip(rows, record.values):
+            row.insert(at, value)
+    dual_instance = Instance(agents=n, types=tuple(types), values=tuple(map(tuple, rows)))
 
     dual_allocation = None
     if allocation is not None:
-        dual_allocation = Allocation(
-            tuple(
-                frozenset(
-                    t.name for t in dual_types if t.name not in allocation.bundles[i]
-                )
-                for i in range(n)
-            )
-        )
+        names = frozenset(dual_instance.index)
+        dual_allocation = Allocation(tuple(names - held for held in allocation.bundles))
     return DualResult(
         instance=dual_instance,
         allocation=dual_allocation,

@@ -3,10 +3,11 @@
 The enumeration strategy is deterministic and seedless: for each type,
 choose which agents receive a copy (subsets in lexicographic order), and
 walk the cartesian product with the first type most significant. One lazy
-walk serves every caller: it keeps one subset iterator per type and can
-start at any plan index, so memory does not grow with the plan and every
-budget is checked before any work. Every certificate produced from it is
-therefore reproducible bit for bit.
+walk serves every caller: it keeps one subset iterator per type, so memory
+does not grow with the plan and every budget is checked before any work.
+It can also start at any plan index; only `allocation_at` does, to decode
+one position. Every certificate produced from it is therefore reproducible
+bit for bit.
 
 The walk yields per-agent type masks and own-bundle totals on the integer
 rows of `Instance.kernel`, which an instance compiles once and keeps, and
@@ -22,7 +23,6 @@ Only the allocation a caller reports is decoded.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -218,13 +218,13 @@ def _refuted_depth(criterion, row, mask_i: int, mask_j: int, full: int, everythi
     return -1
 
 
-def _fair_indices(instance, criterion, start: int, stop: int) -> Iterator[int]:
-    """The plan indices in [start, stop) whose allocations are fair, in order.
+def _fair_indices(instance, criterion, stop: int) -> Iterator[int]:
+    """The plan indices below `stop` whose allocations are fair, in order.
 
     At an unfair allocation the walk jumps past the subtree its first
     failing pair refutes (`_refuted_depth`).
     """
-    if start >= stop:
+    if stop <= 0:
         return
     rows = _rows(instance, criterion.orientation)
     n, last = instance.agents, len(instance.types) - 1
@@ -235,9 +235,9 @@ def _fair_indices(instance, criterion, start: int, stop: int) -> Iterator[int]:
     for t in reversed(instance.types):
         below.append(below[-1] * math.comb(n, t.copies))
     below.reverse()
-    walk = _walk(instance, start)
+    walk = _walk(instance)
     masks, _ = next(walk)
-    index = start
+    index = 0
     while True:
         pair = _first_unfair_pair(rows, criterion, masks)
         if pair is None:
@@ -253,51 +253,21 @@ def _fair_indices(instance, criterion, start: int, stop: int) -> Iterator[int]:
         masks, _ = walk.send(depth)
 
 
-def _first_fair(instance, criterion, start: int, stop: int) -> Optional[int]:
-    """The first plan index in [start, stop) whose allocation is fair, or None."""
-    return next(_fair_indices(instance, criterion, start, stop), None)
-
-
 def exists_fair(
     instance: Instance,
     criterion: ComparisonCriterion,
     budget: Optional[int] = None,
-    jobs: int = 1,
 ) -> ExistenceCertificate:
     """Decide whether any complete exclusive allocation satisfies the criterion.
 
-    Sweeps the plan in order, skipping subtrees a failing pair refutes; a
-    refutation covers the whole plan. With jobs > 1 the sweep is split into
-    index ranges over worker processes, each walking its range the same
-    way; the reported witness is still the globally first one, so
-    certificates do not depend on the worker count.
+    Sweeps the plan in order, skipping subtrees a failing pair refutes, and
+    stops at the first fair allocation; a refutation covers the whole plan.
     """
     require_orientation(instance, criterion)
     cap = DEFAULT_ENUM_CAP if budget is None else budget
     total = plan_total(instance)
     limit = min(total, cap)
-    if jobs > 1:
-        # A pool forks all its workers at once; more than the CPUs cannot help.
-        jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or limit < 4096:
-        found = _first_fair(instance, criterion, 0, limit)
-    else:
-        # Imported here: multiprocessing is heavy, and only --jobs needs it.
-        from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, math.ceil(limit / (jobs * 8)))
-        starts = range(0, limit, chunk)
-        stops = [min(start + chunk, limit) for start in starts]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                _first_fair,
-                [instance] * len(starts),
-                [criterion] * len(starts),
-                starts,
-                stops,
-            )
-            found = next((r for r in results if r is not None), None)
-            # Ranges after the first fair one need not run.
-            pool.shutdown(cancel_futures=True)
+    found = next(_fair_indices(instance, criterion, limit), None)
     if found is not None:
         return ExistenceCertificate(
             exists=True,
@@ -333,7 +303,7 @@ def count_fair(
     """
     require_orientation(instance, criterion)
     _require_within_budget(instance, budget)
-    fair = _fair_indices(instance, criterion, 0, plan_total(instance))
+    fair = _fair_indices(instance, criterion, plan_total(instance))
     first = next(fair, None)
     if first is None:
         return 0, None

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairdual.criteria import ComparisonCriterion, criterion_for, is_fair
+from fairdual.criteria import BASES, ComparisonCriterion, criterion_for, is_fair
 from fairdual.duality import (
     DroppedType,
     check_envy_duality,
@@ -14,7 +14,7 @@ from fairdual.duality import (
     dualize,
 )
 from fairdual.model import Allocation, Instance, InstanceError, ItemType, bundle
-from fairdual.randgen import random_allocation, random_instance
+from fairdual.randgen import random_instance
 
 
 def section_instance():
@@ -67,17 +67,6 @@ def test_full_copy_types_are_dropped_and_recorded():
     assert record.values == (Fraction(5), Fraction(4))
 
 
-def test_double_dual_round_trips_through_reinsert():
-    rng = random.Random(3)
-    for _ in range(60):
-        instance = random_instance(rng, max_agents=4, max_types=5)
-        allocation = random_allocation(rng, instance)
-        first = dualize(instance, allocation)
-        second = dualize(first.instance, first.allocation, reinsert=first.dropped)
-        assert second.instance == instance
-        assert second.allocation == allocation
-
-
 def test_reinsert_rejects_name_collisions():
     instance = Instance(
         agents=2,
@@ -93,14 +82,18 @@ def test_reinsert_rejects_name_collisions():
 
 
 @st.composite
-def allocated_instances(draw):
+def allocated_instances(draw, pure=False):
     """1-4 agents, 0-5 goods or chores with copies 1..n, and a complete allocation.
 
-    Copies reach n, so full-copy types, which the dual drops, turn up.
+    Copies reach n, so full-copy types, which the dual drops, turn up. With
+    `pure`, every type has the same sign.
     """
     n = draw(st.integers(1, 4))
     copies = draw(st.lists(st.integers(1, n), max_size=5))
-    signs = [draw(st.sampled_from((1, -1))) for _ in copies]
+    if pure:
+        signs = [draw(st.sampled_from((1, -1)))] * len(copies)
+    else:
+        signs = [draw(st.sampled_from((1, -1))) for _ in copies]
     value = st.builds(Fraction, st.integers(0, 12), st.integers(1, 5))
     instance = Instance(
         agents=n,
@@ -145,6 +138,23 @@ def test_value_identity_on_random_instances(case):
             assert shift == sum(instance.values[i])
 
 
+@settings(max_examples=100, deadline=None)
+@given(allocated_instances())
+def test_double_dual_round_trips_through_reinsert(case):
+    """Dualizing twice, reinserting the dropped full-copy types, gives back the input."""
+    instance, allocation = case
+    first = dualize(instance, allocation)
+    second = dualize(first.instance, first.allocation, reinsert=first.dropped)
+    assert second.instance == instance
+    assert second.allocation == allocation
+    full = [(pos, t) for pos, t in enumerate(instance.types) if t.copies == instance.agents]
+    assert [(record.position, record.item) for record in first.dropped] == full
+    assert [record.values for record in first.dropped] == [
+        tuple(row[pos] for row in instance.values) for pos, _ in full
+    ]
+    assert second.dropped == ()
+
+
 def test_complement_criterion_flips_orientation_only():
     crit = ComparisonCriterion("efx", "goods", True)
     flipped = complement_criterion(crit)
@@ -167,15 +177,14 @@ def test_envy_duality_on_known_witness():
     assert check_envy_duality(instance, allocation, criterion_for(instance, "efx"))
 
 
-def test_envy_duality_random_sweep():
-    rng = random.Random(19)
-    for _ in range(150):
-        instance = random_instance(rng, max_agents=4, max_types=4,
-                                   orientation="goods")
-        allocation = random_allocation(rng, instance)
-        for base in ("ef1", "efx", "efl"):
-            crit = ComparisonCriterion(base, "goods", False)
-            assert check_envy_duality(instance, allocation, crit)
+@settings(max_examples=150, deadline=None)
+@given(allocated_instances(pure=True))
+def test_envy_duality_random_sweep(case):
+    """Every base, lifted to without-commons, transfers to the dual, in both orientations."""
+    instance, allocation = case
+    for base in BASES:
+        crit = ComparisonCriterion(base, instance.orientation(), False)
+        assert check_envy_duality(instance, allocation, crit)
 
 
 def test_share_duality_shift():

@@ -1,11 +1,12 @@
 import importlib
+import json
 import math
 import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairdual
@@ -14,6 +15,7 @@ from fairdual.criteria import ComparisonCriterion, is_fair
 from fairdual.leveled import leveled_counterexample, solve_leveled_efxwc
 from fairdual.model import (
     Allocation,
+    FairdualError,
     Instance,
     InstanceError,
     ItemType,
@@ -277,11 +279,32 @@ def test_leveled_predicate():
     assert smaller == 1
 
 
-def test_instance_json_round_trip():
-    instance = three_agent_instance()
-    data = instance_to_json(instance)
-    again = instance_from_json(data)
-    assert again == instance
+@st.composite
+def json_instances(draw):
+    """1-4 agents and 0-5 types in shuffled name order; shared or per-agent
+    columns of one sign each, with zeros and fractions."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.permutations("abcde"))[: draw(st.integers(0, 5))]
+    columns = []
+    for _ in names:
+        sign = draw(st.sampled_from((1, -1)))
+        values = [
+            Fraction(sign * draw(st.integers(0, 12)), draw(st.integers(1, 5)))
+            for _ in range(1 if draw(st.booleans()) else n)
+        ]
+        columns.append((values * n)[:n])
+    return Instance(
+        agents=n,
+        types=tuple(ItemType(name, draw(st.integers(1, n))) for name in names),
+        values=tuple(tuple(column[i] for column in columns) for i in range(n)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_instances())
+def test_instance_json_round_trip(instance):
+    data = json.loads(json.dumps(instance_to_json(instance)))
+    assert instance_from_json(data) == instance
 
 
 def test_instance_json_shared_values_and_zero_copies():
@@ -318,14 +341,82 @@ def test_instance_json_bad_shapes():
         )
 
 
-def test_allocation_json_round_trip():
-    instance = three_agent_instance()
-    allocation = Allocation.of(["t1", "t2", "t4"], ["t3", "t4"], ["t1", "t2", "t3"])
-    data = allocation_to_json(allocation, instance)
-    assert data["bundles"][0] == ["t1", "t2", "t4"]
-    assert allocation_from_json(data) == allocation
+@st.composite
+def json_allocations(draw):
+    """An instance from `json_instances` and a complete allocation of it."""
+    instance = draw(json_instances())
+    n = instance.agents
+    holders = [draw(st.permutations(range(n)))[: t.copies] for t in instance.types]
+    allocation = Allocation(
+        tuple(
+            frozenset(t.name for t, held in zip(instance.types, holders) if i in held)
+            for i in range(n)
+        )
+    )
+    return instance, allocation
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_allocations())
+def test_allocation_json_round_trip(case):
+    """Bundles are written in the instance's type order and read back unchanged."""
+    instance, allocation = case
+    encoded = json.loads(json.dumps(allocation_to_json(allocation, instance)))
+    names = instance.type_names()
+    assert encoded["bundles"] == [[x for x in names if x in b] for b in allocation.bundles]
+    assert allocation_from_json(encoded) == allocation
 
 
 def test_allocation_json_rejects_repeats():
     with pytest.raises(InstanceError):
         allocation_from_json({"bundles": [["a", "a"]]})
+
+
+json_scalars = (
+    st.sampled_from([None, True, False, "a", "b", "3/2", "-1", "2.5", "1/0"])
+    | st.integers(-2, 5)
+    | st.floats()
+    | st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def json_paths(node, path=()):
+    """The key path of every value in a JSON tree, the root's included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_paths(child, path + (key,))
+
+
+@st.composite
+def corrupted_encodings(draw):
+    """A valid instance or allocation encoding with one value, at any depth,
+    replaced by an arbitrary JSON value."""
+    encodings = json_instances().map(instance_to_json) | json_allocations().map(
+        lambda case: allocation_to_json(case[1])
+    )
+    root = [draw(encodings)]
+    path = (0, *draw(st.sampled_from(list(json_paths(root[0])))))
+    parent = root
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(json_scalars | json_values)
+    return root[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values | corrupted_encodings())
+@example({"agents": 1, "types": [{"name": "a", "copies": 1, "values": ["1/0"]}]})
+def test_json_decoders_raise_only_fairdual_errors(data):
+    """Malformed input, at the top or deep inside, is refused with a FairdualError."""
+    for decode in (instance_from_json, allocation_from_json):
+        try:
+            decode(data)
+        except FairdualError:
+            pass

@@ -34,7 +34,6 @@ from fairdual.model import (
 )
 from fairdual.randgen import random_instance
 from fairdual.search import (
-    _first_fair,
     allocation_at,
     check_chores_characterization,
     count_fair,
@@ -165,64 +164,6 @@ def single_copy_pair(row):
     )
 
 
-def test_parallel_certificate_matches_serial():
-    instance = section_instance()
-    for notion in (
-        ComparisonCriterion("efx", "goods"),
-        ComparisonCriterion("efx", "goods", without_commons=True),
-    ):
-        serial = exists_fair(instance, notion)
-        parallel = exists_fair(instance, notion, jobs=2)
-        assert serial == parallel
-    # 4096 allocations is the smallest plan that --jobs sends to workers.
-    witness_case = single_copy_pair([100] + [1] * 11)  # agent 0 holds g0 only
-    refuted_case = single_copy_pair([1] * 11 + [2])  # odd total: EF impossible
-    for instance, criterion, checked in (
-        (witness_case, ComparisonCriterion("efx", "goods"), 2048),
-        (refuted_case, ComparisonCriterion("ef", "goods"), 4096),
-    ):
-        assert plan_total(instance) == 4096
-        serial = exists_fair(instance, criterion, jobs=1)
-        assert serial.checked == checked
-        assert serial.exists == (checked < 4096)
-        assert exists_fair(instance, criterion, jobs=2) == serial
-
-
-def test_jobs_is_capped_at_the_cpu_count(monkeypatch):
-    """No pool gets more workers than CPUs; the certificate stays the same."""
-    import concurrent.futures
-
-    workers = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    instance = single_copy_pair([1] * 11 + [2])
-    criterion = ComparisonCriterion("ef", "goods")
-    assert plan_total(instance) == 4096
-    serial = exists_fair(instance, criterion, jobs=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert exists_fair(instance, criterion, jobs=10_000) == serial
-    assert workers == [3]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert exists_fair(instance, criterion, jobs=10_000) == serial
-    assert workers == [3]
-
-
 def test_whole_plan_consumers_refuse_before_walking(monkeypatch):
     instance = section_instance()
     criterion = ComparisonCriterion("efx", "goods", without_commons=True)
@@ -344,7 +285,7 @@ def skip_instances(draw):
 @settings(max_examples=120, deadline=None)
 @given(skip_instances(), st.data())
 def test_skipping_keeps_every_answer_of_the_full_sweep(instance, data):
-    """Certificates, counts and range starts inside refuted subtrees match a full sweep."""
+    """Certificates and counts match a sweep that examines every allocation."""
     orientation = instance.orientation()
     criterion = ComparisonCriterion(
         data.draw(st.sampled_from(BASES)), orientation, data.draw(st.booleans())
@@ -357,12 +298,6 @@ def test_skipping_keeps_every_answer_of_the_full_sweep(instance, data):
     assert certificate.checked == (total if first is None else first + 1)
     assert certificate.witness == (None if first is None else plan[first])
     assert count_fair(instance, criterion) == (sum(fair), certificate.witness)
-    # --jobs ranges may start anywhere, unfair allocations included.
-    unfair = [index for index, ok in enumerate(fair) if not ok] or [0]
-    for start in (data.draw(st.sampled_from(unfair)), data.draw(st.integers(0, total - 1))):
-        stop = data.draw(st.integers(start, total))
-        expected = next((k for k in range(start, stop) if fair[k]), None)
-        assert _first_fair(instance, criterion, start, stop) == expected
 
 
 def test_a_failing_pair_skips_its_subtree(monkeypatch):
