@@ -48,7 +48,13 @@ def _display(value: Fraction) -> str:
     text = str(format_rational(value))
     if len(text) <= DISPLAY_WIDTH:
         return text
-    return f"~{float(value):.5g}"[:DISPLAY_WIDTH]
+    try:
+        return f"~{float(value):.5g}"[:DISPLAY_WIDTH]
+    except OverflowError:
+        # Past a float's range: the leading digits of the integer part.
+        digits = str(abs(value.numerator) // value.denominator)
+        mantissa = f"{digits[0]}.{digits[1:5]}".rstrip("0").rstrip(".")
+        return f"~{'-' if value < 0 else ''}{mantissa}e+{len(digits) - 1}"
 
 
 def _load(path: str, parse, **kw):
@@ -63,6 +69,10 @@ def _load(path: str, parse, **kw):
         raise FairdualError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise FairdualError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise FairdualError(f"{path}: JSON nested too deeply") from exc
     except FairdualError as exc:
         raise FairdualError(f"{path}: {exc}") from exc
 

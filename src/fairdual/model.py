@@ -10,10 +10,20 @@ it is complete when each type appears in exactly k_t bundles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional
+
+# Fraction builds 10**exp for a decimal exponent, so a few bytes could ask
+# for an integer of any size; refuse exponents past CPython's own limit on
+# the digits of an integer read from a string.
+MAX_DECIMAL_EXPONENT = sys.int_info.default_max_str_digits
+
+# Agents times types (at least one) an instance file may declare. Columns are
+# built per agent, so a small file could otherwise claim any amount of memory.
+MAX_INSTANCE_CELLS = 10**6
 
 
 class FairdualError(Exception):
@@ -70,15 +80,21 @@ def parse_rational(value) -> Fraction:
     """Convert a JSON scalar to an exact Fraction.
 
     Accepts integers, "p/q" strings and decimal strings ("2.5" becomes 5/2
-    exactly). Floats are rejected: binary floats do not round-trip and this
-    library promises exact arithmetic.
+    exactly), with exponents up to MAX_DECIMAL_EXPONENT in magnitude. Floats
+    are rejected: binary floats do not round-trip and this library promises
+    exact arithmetic.
     """
     if isinstance(value, bool):
         raise InstanceError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _, has_exponent, exponent = value.lower().partition("e")
         try:
+            if has_exponent and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+                raise InstanceError(
+                    f"exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+                )
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceError(f"not a rational: {value!r}") from exc
@@ -344,6 +360,11 @@ def instance_from_json(data, on_notice: Optional[Callable] = None) -> Instance:
         raise InstanceError(f"agents must be a positive int, got {agents!r}")
     if not isinstance(raw_types, list):
         raise InstanceError("types must be a list")
+    if agents * max(1, len(raw_types)) > MAX_INSTANCE_CELLS:
+        raise InstanceError(
+            f"instance too large: {agents} agents and {len(raw_types)} types "
+            f"exceed {MAX_INSTANCE_CELLS} values"
+        )
     types = []
     columns = []
     for entry in raw_types:

@@ -3,11 +3,10 @@
 The enumeration strategy is deterministic and seedless: for each type,
 choose which agents receive a copy (subsets in lexicographic order), and
 walk the cartesian product with the first type most significant. One lazy
-walk serves every caller: it keeps one subset iterator per type, so memory
-does not grow with the plan and every budget is checked before any work.
-It can also start at any plan index; only `allocation_at` does, to decode
-one position. Every certificate produced from it is therefore reproducible
-bit for bit.
+walk, always from position 0, serves every caller: it keeps one subset
+iterator per type, so memory does not grow with the plan and every budget
+is checked before any work. Every certificate produced from it is
+therefore reproducible bit for bit.
 
 The walk yields per-agent type masks and own-bundle totals on the integer
 rows of `Instance.kernel`, which an instance compiles once and keeps, and
@@ -48,26 +47,8 @@ def plan_total(instance: Instance) -> int:
     return math.prod(math.comb(instance.agents, t.copies) for t in instance.types)
 
 
-def _holder_sets_from(n: int, k: int, rank: int) -> Iterator[tuple]:
-    """The k-subsets of range(n) in lexicographic order, from the one at `rank`."""
-    first = []
-    agent = 0
-    while len(first) < k:
-        below = math.comb(n - agent - 1, k - len(first) - 1)
-        if rank < below:
-            first.append(agent)
-        else:
-            rank -= below
-        agent += 1
-    # Later subsets share a prefix first[:p] and exceed first[p] at position p.
-    for p in reversed(range(k)):
-        head = tuple(first[:p])
-        for tail in combinations(range(first[p] + (p < k - 1), n), k - p):
-            yield head + tail
-
-
-def _walk(instance: Instance, start: int = 0) -> Iterator[tuple]:
-    """Yield (masks, own) per allocation in plan order, from plan index `start`.
+def _walk(instance: Instance) -> Iterator[tuple]:
+    """Yield (masks, own) per allocation in plan order.
 
     `masks[a]` has bit p set when agent a holds the type at position p, and
     `own[a]` is agent a's kernel row summed over `masks[a]`. Both are the
@@ -79,16 +60,7 @@ def _walk(instance: Instance, start: int = 0) -> Iterator[tuple]:
     n = instance.agents
     types = instance.types
     rows = instance.kernel.rows
-    digits = []
-    for t in reversed(types):
-        start, digit = divmod(start, math.comb(n, t.copies))
-        digits.append(digit)
-    if start:
-        return
-    digits.reverse()
-    subsets = [
-        _holder_sets_from(n, t.copies, digit) for t, digit in zip(types, digits)
-    ]
+    subsets = [combinations(range(n), t.copies) for t in types]
     choice = [next(it) for it in subsets]
     masks = [sum(1 << p for p, h in enumerate(choice) if a in h) for a in range(n)]
     own = [sum(_entries(row, m)) for row, m in zip(rows, masks)]
@@ -147,11 +119,26 @@ def _require_within_budget(instance: Instance, budget: Optional[int]) -> None:
 
 
 def allocation_at(instance: Instance, index: int) -> Allocation:
-    """The allocation at a given plan position: the first step of the walk there."""
+    """The allocation at a given plan position, unranked without a walk.
+
+    One mixed-radix digit per type, the first most significant, is the
+    lexicographic rank of that type's holder set among the agents' k-subsets.
+    """
     total = plan_total(instance)
     if not 0 <= index < total:
         raise IndexError(f"index {index} outside plan of size {total}")
-    masks, _ = next(_walk(instance, index))
+    n, masks = instance.agents, [0] * instance.agents
+    for pos in reversed(range(len(instance.types))):
+        k = instance.types[pos].copies
+        index, rank = divmod(index, math.comb(n, k))
+        for agent in range(n):
+            # Of the subsets left, comb(n - agent - 1, k - 1) take `agent` next.
+            below = math.comb(n - agent - 1, k - 1) if k else 0
+            if rank < below:
+                masks[agent] |= 1 << pos
+                k -= 1
+            else:
+                rank -= below
     return Allocation(_bundles(instance, masks))
 
 
@@ -218,11 +205,12 @@ def _refuted_depth(criterion, row, mask_i: int, mask_j: int, full: int, everythi
     return -1
 
 
-def _fair_indices(instance, criterion, stop: int) -> Iterator[int]:
-    """The plan indices below `stop` whose allocations are fair, in order.
+def _fair_indices(instance, criterion, stop: int) -> Iterator[tuple]:
+    """(index, masks) per fair allocation below plan index `stop`, in order.
 
-    At an unfair allocation the walk jumps past the subtree its first
-    failing pair refutes (`_refuted_depth`).
+    `masks` is the walk's live list, valid until the next step. At an unfair
+    allocation the walk jumps past the subtree its first failing pair
+    refutes (`_refuted_depth`).
     """
     if stop <= 0:
         return
@@ -241,7 +229,7 @@ def _fair_indices(instance, criterion, stop: int) -> Iterator[int]:
     while True:
         pair = _first_unfair_pair(rows, criterion, masks)
         if pair is None:
-            yield index
+            yield index, masks
             depth = last
         else:
             i, j = pair
@@ -269,11 +257,12 @@ def exists_fair(
     limit = min(total, cap)
     found = next(_fair_indices(instance, criterion, limit), None)
     if found is not None:
+        index, masks = found
         return ExistenceCertificate(
             exists=True,
             notion=criterion,
-            witness=allocation_at(instance, found),
-            checked=found + 1,
+            witness=Allocation(_bundles(instance, masks)),
+            checked=index + 1,
             plan_total=total,
         )
     if limit < total:
@@ -307,7 +296,8 @@ def count_fair(
     first = next(fair, None)
     if first is None:
         return 0, None
-    return 1 + sum(1 for _ in fair), allocation_at(instance, first)
+    witness = Allocation(_bundles(instance, first[1]))
+    return 1 + sum(1 for _ in fair), witness
 
 
 def check_chores_characterization(

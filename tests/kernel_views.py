@@ -36,6 +36,6 @@ def pair_item(criterion, valuation, bundle_i, bundle_u):
     return _offending_item(criterion, *_compiled(criterion, valuation, bundle_i, bundle_u))
 
 
-def walk_bundles(instance, start=0):
-    """The plan walk from `start`, each step decoded to a tuple of bundles."""
-    return [_bundles(instance, masks) for masks, _ in search._walk(instance, start)]
+def walk_bundles(instance):
+    """The plan walk, each step decoded to a tuple of bundles."""
+    return [_bundles(instance, masks) for masks, _ in search._walk(instance)]

@@ -1,16 +1,24 @@
 import ast
+import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdual import cli, fixtures
 from fairdual.cli import main
+from fairdual.model import allocation_to_json, instance_to_json
 from fairdual.sweep import SweepConfig, run_sweep
+from strategies import corrupted, json_allocations, json_values
 
 
 def write_json(path, payload):
@@ -230,6 +238,38 @@ def test_mnw_reports_welfare(tmp_path, capsys):
     assert payload["bundles"] == [["a", "b", "c"], ["a"], ["d"]]
 
 
+def test_values_past_a_floats_range_render_in_text_and_json(tmp_path, capsys):
+    """Text lines are built under --json too, so neither may overflow a float."""
+    huge = 10**400
+    goods = write_json(
+        tmp_path / "goods.json",
+        {
+            "agents": 2,
+            "types": [
+                {"name": "a", "copies": 1, "values": {"shared": huge}},
+                {"name": "b", "copies": 1, "values": {"shared": 3 * huge}},
+            ],
+        },
+    )
+    shares = ["shares", "--share", "prop", "--all-agents", "--instance"]
+    assert main([*shares, goods]) == 0
+    assert capsys.readouterr().out == "agent 0: prop = ~2e+400\nagent 1: prop = ~2e+400\n"
+    assert main([*shares, goods, "--json"]) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    assert [v["value"] for v in values] == [2 * huge, 2 * huge]
+    assert main(["mnw", "--instance", goods]) == 0
+    assert capsys.readouterr().out.startswith("nash welfare: ~3e+800\n")
+    assert main(["mnw", "--instance", goods, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["welfare"] == 3 * huge**2
+    # A chore past the range keeps its sign and its leading digits.
+    chores = write_json(
+        tmp_path / "chores.json",
+        {"agents": 2, "types": [{"name": "c", "copies": 1, "values": [-3 * huge, -1]}]},
+    )
+    assert main([*shares, chores]) == 0
+    assert capsys.readouterr().out.startswith("agent 0: prop = ~-1.5e+400\n")
+
+
 def test_solve_leveled(tmp_path, capsys):
     instance = write_json(
         tmp_path / "leveled.json",
@@ -434,6 +474,58 @@ def test_a_crash_while_rendering_exits_two(doubled_types, witness, capsys, monke
     assert captured.out == ""
     assert captured.err.startswith("error: internal TypeError: ")
     assert "not JSON serializable" in captured.err
+
+
+def _encoded(document) -> bytes:
+    return json.dumps(document).encode()
+
+
+@st.composite
+def command_files(draw):
+    """An instance file and an allocation file for it, one of them replaced by
+    arbitrary bytes, arbitrary JSON or its encoding with one value replaced."""
+    instance, allocation = draw(json_allocations())
+    documents = [instance_to_json(instance), allocation_to_json(allocation, instance)]
+    files = [_encoded(document) for document in documents]
+    which = draw(st.integers(0, 1))
+    files[which] = draw(
+        st.binary(max_size=64)
+        | json_values.map(_encoded)
+        | corrupted(st.just(documents[which])).map(_encoded)
+    )
+    return files
+
+
+FUZZED_COMMANDS = (
+    ["check", "--notion", "ef1"],
+    ["exists", "--notion", "efx_wc", "--budget", "50"],
+    ["exists", "--notion", "ef", "--all", "--budget", "50"],
+    ["dualize"],
+    ["shares", "--share", "mms", "--all-agents", "--budget", "50"],
+    ["shares", "--share", "aps", "--agent", "0"],
+    ["mnw", "--budget", "50"],
+    ["solve-leveled"],
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command_files())
+def test_malformed_files_get_a_verdict_or_a_clean_error(files):
+    """No input file crashes a command: exit 0, 1 or a named error with exit 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, allocation = Path(tmp) / "instance.json", Path(tmp) / "allocation.json"
+        instance.write_bytes(files[0])
+        allocation.write_bytes(files[1])
+        for command in FUZZED_COMMANDS:
+            argv = [*command, "--instance", str(instance)]
+            if command[0] in ("check", "dualize"):
+                argv += ["--allocation", str(allocation)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            assert code != 2 or out.getvalue() == "", argv
+            assert not err.getvalue().startswith("error: internal"), (argv, err.getvalue())
 
 
 def _fresh_env(**extra):

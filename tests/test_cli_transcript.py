@@ -76,8 +76,16 @@ FILES = {
     },
     "not-an-object.json": [1, 2],
     "bad-alloc.json": {"bundles": [["t1"], ["t9"], []]},
+    "huge-exponent.json": {
+        "agents": 1,
+        "types": [{"name": "a", "copies": 1, "values": ["1e-1000000"]}],
+    },
 }
-RAW_FILES = {"malformed.json": '{"agents": 3,\n  "types": [,]}'}
+RAW_FILES = {
+    "malformed.json": b'{"agents": 3,\n  "types": [,]}',
+    "latin-1.json": b'{"agents": 1, "types": [{"name": "caf\xe9"}]}',
+    "deep.json": b"[" * 100_000 + b"]" * 100_000,
+}
 
 G, W = "<tmp>/goods.json", "<tmp>/witness.json"
 C, CA = "<tmp>/chores.json", "<tmp>/chores-alloc.json"
@@ -101,6 +109,7 @@ CASES = [
     ["check", "--instance", G, "--allocation", W, "--notion", "nope"],
     ["check", "--instance", G, "--allocation", "<tmp>/bad-alloc.json", "--notion", "ef"],
     ["check", "--instance", F, "--allocation", FA, "--notion", "ef1"],
+    ["check", "--instance", "<tmp>/huge-exponent.json", "--allocation", W, "--notion", "ef"],
     # exists
     ["exists", "--instance", G, "--notion", "efx"],
     ["exists", "--instance", G, "--notion", "efx", "--json"],
@@ -120,6 +129,8 @@ CASES = [
     ["exists", "--instance", "<tmp>/missing.json", "--notion", "ef1"],
     ["exists", "--instance", BAD, "--notion", "ef1"],
     ["exists", "--instance", "<tmp>/not-an-object.json", "--notion", "ef1"],
+    ["exists", "--instance", "<tmp>/latin-1.json", "--notion", "ef1"],
+    ["exists", "--instance", "<tmp>/deep.json", "--notion", "ef1"],
     # dualize
     ["dualize", "--instance", G],
     ["dualize", "--instance", G, "--allocation", W, "--json"],
@@ -216,8 +227,8 @@ def transcript(tmp: Path) -> str:
     """Run every case with its files in `tmp`; `tmp` reads `<tmp>` in the result."""
     for name, payload in FILES.items():
         (tmp / name).write_text(json.dumps(payload), encoding="utf-8")
-    for name, text in RAW_FILES.items():
-        (tmp / name).write_text(text, encoding="utf-8")
+    for name, data in RAW_FILES.items():
+        (tmp / name).write_bytes(data)
     lines = []
     with _fixed_width():
         for case in CASES:

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import criteria_reference as ref
 from kernel_views import one_agent, pair_eval, pair_item
+from strategies import allocated_instances
 from fairdual.criteria import BASES, ComparisonCriterion, is_fair
 from fairdual.leveled import leveled_counterexample
-from fairdual.model import Allocation, Instance, InstanceError, ItemType
+from fairdual.model import Instance, InstanceError, ItemType
 
 CRITERIA = tuple(
     ComparisonCriterion(base, orientation, wc)
@@ -45,27 +46,6 @@ def test_pair_test_matches_the_reference(pair):
             assert item == ref.offending_item(
                 criterion, instance, valuation, bundle_i, bundle_u
             ), criterion
-
-
-@st.composite
-def allocated_instances(draw):
-    """2-4 agents, 1-6 types with copies 1..n, goods or chores, and a valid allocation."""
-    n = draw(st.integers(2, 4))
-    copies = draw(st.lists(st.integers(1, n), min_size=1, max_size=6))
-    sign = draw(st.sampled_from([1, -1]))
-    instance = Instance(
-        agents=n,
-        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
-        values=tuple(
-            tuple(sign * Fraction(draw(st.integers(0, 4))) for _ in copies)
-            for _ in range(n)
-        ),
-    )
-    bundles = [set() for _ in range(n)]
-    for t in instance.types:
-        for agent in draw(st.permutations(range(n)))[: t.copies]:
-            bundles[agent].add(t.name)
-    return instance, Allocation.of(*bundles)
 
 
 @settings(max_examples=120, deadline=None)

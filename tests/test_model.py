@@ -1,8 +1,12 @@
 import importlib
 import json
 import math
+import os
 import pkgutil
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +18,8 @@ from fairdual import model
 from fairdual.criteria import ComparisonCriterion, is_fair
 from fairdual.leveled import leveled_counterexample, solve_leveled_efxwc
 from fairdual.model import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_INSTANCE_CELLS,
     Allocation,
     FairdualError,
     Instance,
@@ -32,6 +38,7 @@ from fairdual.model import (
 )
 from fairdual.search import count_fair, exists_fair, max_nash_welfare
 from fairdual.shares import mms_share
+from strategies import corrupted_encodings, json_allocations, json_instances, json_values
 
 
 def three_agent_instance():
@@ -63,6 +70,21 @@ def test_parse_rational_rejects_floats_and_bools():
         parse_rational(True)
     with pytest.raises(InstanceError):
         parse_rational("one half")
+
+
+def test_parse_rational_bounds_decimal_exponents():
+    """Fraction would build 10**exp for any exponent, so a long one is refused first."""
+    assert parse_rational("1e3") == 1000
+    assert parse_rational(f"1e-{MAX_DECIMAL_EXPONENT}") == Fraction(1, 10**MAX_DECIMAL_EXPONENT)
+    for text in (
+        f"1e{MAX_DECIMAL_EXPONENT + 1}",
+        f" -2.5E-{MAX_DECIMAL_EXPONENT + 1} ",
+        "1e-1000000",
+    ):
+        with pytest.raises(InstanceError, match="exponent"):
+            parse_rational(text)
+    with pytest.raises(InstanceError, match="not a rational"):
+        parse_rational("1e" + "9" * (MAX_DECIMAL_EXPONENT + 1))
 
 
 def test_format_rational_round_trip():
@@ -279,27 +301,6 @@ def test_leveled_predicate():
     assert smaller == 1
 
 
-@st.composite
-def json_instances(draw):
-    """1-4 agents and 0-5 types in shuffled name order; shared or per-agent
-    columns of one sign each, with zeros and fractions."""
-    n = draw(st.integers(1, 4))
-    names = draw(st.permutations("abcde"))[: draw(st.integers(0, 5))]
-    columns = []
-    for _ in names:
-        sign = draw(st.sampled_from((1, -1)))
-        values = [
-            Fraction(sign * draw(st.integers(0, 12)), draw(st.integers(1, 5)))
-            for _ in range(1 if draw(st.booleans()) else n)
-        ]
-        columns.append((values * n)[:n])
-    return Instance(
-        agents=n,
-        types=tuple(ItemType(name, draw(st.integers(1, n))) for name in names),
-        values=tuple(tuple(column[i] for column in columns) for i in range(n)),
-    )
-
-
 @settings(max_examples=100, deadline=None)
 @given(json_instances())
 def test_instance_json_round_trip(instance):
@@ -325,6 +326,37 @@ def test_instance_json_shared_values_and_zero_copies():
     assert notices and "gone" in notices[0]
 
 
+def test_instance_json_refuses_too_many_cells_before_building_columns():
+    """10**9 agents would need over 100 GB; a child capped at 300 MB of address
+    space is refused at once. A shared column counts once per agent."""
+    limit = 300 * 2**20
+
+    def cap_memory():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(model.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = (
+        "from fairdual.model import InstanceError, instance_from_json\n"
+        "try:\n"
+        "    instance_from_json({'agents': 10**9, 'types': []})\n"
+        "except InstanceError as exc:\n"
+        "    print(exc)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", child],
+        env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("instance too large: 1000000000 agents")
+    shared = [
+        {"name": f"t{k}", "copies": 1, "values": {"shared": 1}} for k in range(2)
+    ]
+    with pytest.raises(InstanceError, match="instance too large"):
+        instance_from_json({"agents": MAX_INSTANCE_CELLS // 2 + 1, "types": shared})
+
+
 def test_instance_json_bad_shapes():
     with pytest.raises(InstanceError):
         instance_from_json({"agents": 2})
@@ -341,21 +373,6 @@ def test_instance_json_bad_shapes():
         )
 
 
-@st.composite
-def json_allocations(draw):
-    """An instance from `json_instances` and a complete allocation of it."""
-    instance = draw(json_instances())
-    n = instance.agents
-    holders = [draw(st.permutations(range(n)))[: t.copies] for t in instance.types]
-    allocation = Allocation(
-        tuple(
-            frozenset(t.name for t, held in zip(instance.types, holders) if i in held)
-            for i in range(n)
-        )
-    )
-    return instance, allocation
-
-
 @settings(max_examples=100, deadline=None)
 @given(json_allocations())
 def test_allocation_json_round_trip(case):
@@ -370,44 +387,6 @@ def test_allocation_json_round_trip(case):
 def test_allocation_json_rejects_repeats():
     with pytest.raises(InstanceError):
         allocation_from_json({"bundles": [["a", "a"]]})
-
-
-json_scalars = (
-    st.sampled_from([None, True, False, "a", "b", "3/2", "-1", "2.5", "1/0"])
-    | st.integers(-2, 5)
-    | st.floats()
-    | st.text(max_size=4)
-)
-json_values = st.recursive(
-    json_scalars,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=3), children, max_size=4),
-    max_leaves=12,
-)
-
-
-def json_paths(node, path=()):
-    """The key path of every value in a JSON tree, the root's included."""
-    yield path
-    if isinstance(node, (dict, list)):
-        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from json_paths(child, path + (key,))
-
-
-@st.composite
-def corrupted_encodings(draw):
-    """A valid instance or allocation encoding with one value, at any depth,
-    replaced by an arbitrary JSON value."""
-    encodings = json_instances().map(instance_to_json) | json_allocations().map(
-        lambda case: allocation_to_json(case[1])
-    )
-    root = [draw(encodings)]
-    path = (0, *draw(st.sampled_from(list(json_paths(root[0])))))
-    parent = root
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = draw(json_scalars | json_values)
-    return root[0]
 
 
 @settings(max_examples=300, deadline=None)

@@ -207,9 +207,9 @@ def test_walk_matches_the_reference_plan(instance, data):
     total = plan_total(instance)
     assert len(reference) == total
     assert [a.bundles for a in enumerate_allocations(instance)] == reference
+    assert walk_bundles(instance) == reference
     for index in {0, total - 1, data.draw(st.integers(0, total - 1))}:
         assert allocation_at(instance, index).bundles == reference[index]
-        assert walk_bundles(instance, index) == reference[index:]
     with pytest.raises(IndexError):
         allocation_at(instance, total)
     criterion = ComparisonCriterion(
@@ -248,8 +248,9 @@ def test_walk_send_skips_to_the_next_prefix(instance, data):
     size = subtree_size(instance, depth)
     landing = (index // size + 1) * size
     scales = instance.kernel.scales
-    walk = search._walk(instance, index)
-    next(walk)
+    walk = search._walk(instance)
+    for _ in range(index + 1):
+        next(walk)
     if landing >= total:
         with pytest.raises(StopIteration):
             walk.send(depth)
@@ -390,13 +391,26 @@ def test_count_fair_on_refuted_notion():
     assert count == 0 and witness is None
 
 
-def test_chores_characterization_sweep():
-    rng = random.Random(31)
-    for _ in range(60):
-        instance = random_instance(
-            rng, max_agents=3, max_types=4, orientation="chores", single_copy=True
-        )
-        assert check_chores_characterization(instance)
+@st.composite
+def single_copy_chores(draw):
+    """2-4 agents and single-copy chores (zeros too); plan n**types <= 5000."""
+    n = draw(st.integers(2, 4))
+    count = draw(st.integers(1, 12))
+    while n**count > 5000:
+        count -= 1
+    return Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", 1) for k in range(count)),
+        values=tuple(
+            tuple(Fraction(-draw(st.integers(0, 9))) for _ in range(count)) for _ in range(n)
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_copy_chores())
+def test_chores_characterization_sweep(instance):
+    assert check_chores_characterization(instance)
 
 
 def test_chores_characterization_input_checks():
