@@ -12,6 +12,7 @@ exception, rendering included.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -48,13 +49,12 @@ def _display(value: Fraction) -> str:
     text = str(format_rational(value))
     if len(text) <= DISPLAY_WIDTH:
         return text
-    try:
-        return f"~{float(value):.5g}"[:DISPLAY_WIDTH]
-    except OverflowError:
-        # Past a float's range: the leading digits of the integer part.
-        digits = str(abs(value.numerator) // value.denominator)
-        mantissa = f"{digits[0]}.{digits[1:5]}".rstrip("0").rstrip(".")
-        return f"~{'-' if value < 0 else ''}{mantissa}e+{len(digits) - 1}"
+    # Five digits rounded exactly at any exponent, in a float's style where one holds it.
+    exact = decimal.Context(prec=5, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+    rounded = exact.divide(value.numerator, value.denominator)
+    if abs(rounded.adjusted()) < 300:
+        return f"~{float(rounded):.5g}"
+    return f"~{exact.normalize(rounded):g}"
 
 
 def _load(path: str, parse, **kw):

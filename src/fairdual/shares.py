@@ -31,6 +31,7 @@ from .model import (
     Instance,
     InstanceError,
     OrientationError,
+    _integer_row,
     require_valid,
 )
 from .search import _require_within_budget
@@ -250,27 +251,34 @@ def forced_types(instance: Instance) -> frozenset:
 
 def _subset_sums(items):
     """Sum of every subset of the items, indexed by bitmask."""
-    sums = [Fraction(0)] * (1 << len(items))
-    for mask in range(1, len(sums)):
-        low = (mask & -mask).bit_length() - 1
-        sums[mask] = sums[mask ^ (1 << low)] + items[low]
+    sums = [0]
+    for item in items:
+        sums += [s + item for s in sums]
     return sums
 
 
-def _excludable(values, f, threshold, b):
+def _least_items(items):
+    """Least item of every subset, indexed by bitmask; the empty subset's exceeds every item."""
+    least = [sum(items) + 1]
+    for item in items:
+        least += [min(x, item) for x in least]
+    return least
+
+
+def _frontier(values, least, threshold):
+    """Subset-minimal bundles worth at least `threshold`, in ascending mask order."""
+    return [m for m, v in enumerate(values) if threshold <= v < threshold + least[m]]
+
+
+def _excludable(values, least, f, threshold, b):
     """Can prices make every bundle worth at least `threshold` cost more than b?
 
-    Returns the slack-maximizing LP outcome: (excludable, prices or None).
-    Only subset-minimal qualifying bundles constrain. Chores reach this
-    goods form through `aps_share`'s duality step.
+    Returns the slack-maximizing LP outcome: (excludable, Fraction prices or None).
+    `values` and `least` are subset tables of a non-negative integer row (chores
+    arrive negated); there a qualifying bundle is subset-minimal, and constrains,
+    iff dropping its least item takes it below the threshold.
     """
-    qualifying = [m for m in range(1 << f) if values[m] >= threshold]
-    marks = set(qualifying)
-    frontier = [
-        m
-        for m in qualifying
-        if all((m ^ (1 << i)) not in marks for i in range(f) if m & (1 << i))
-    ]
+    frontier = _frontier(values, least, threshold)
     # Maximize sigma = s + 1, where s is the least slack p(m) - b of a
     # frontier bundle under prices p on the simplex. Every p gives s >= -b,
     # so requiring sigma >= 0 loses no optimum, and every inequality keeps a
@@ -278,8 +286,7 @@ def _excludable(values, f, threshold, b):
     # Excludable iff sigma > 1. Row per frontier bundle: sigma - p(m) <= 1 - b.
     objective = [0] * f + [1]
     eq = [([1] * f + [0], 1)]
-    rhs = 1 - b
-    leq = [([-1 if m >> i & 1 else 0 for i in range(f)] + [1], rhs) for m in frontier]
+    leq = [([-1 if m >> i & 1 else 0 for i in range(f)] + [1], 1 - b) for m in frontier]
     result = maximize(objective, leq=leq, eq=eq)
     if result.optimum > 1:
         return True, result.solution[:f]
@@ -287,12 +294,9 @@ def _excludable(values, f, threshold, b):
 
 
 def _best_within_budget(values, weights, b):
-    """Best free-bundle value affordable at these prices within budget b."""
-    best = None
-    for value, w in zip(values, _subset_sums(weights)):
-        if w <= b and (best is None or value > best):
-            best = value
-    return best
+    """Best free-bundle value affordable at these prices within budget b, in integers."""
+    *prices, budget = _integer_row([*weights, b])[0]
+    return max((v for v, w in zip(values, _subset_sums(prices)) if w <= budget), default=None)
 
 
 def aps_share(
@@ -312,6 +316,8 @@ def aps_share(
     The certificate prices witness the value from above: under them no
     strictly better bundle fits the budget. They are re-verified by direct
     enumeration before returning; a failure raises CertificateError.
+    Bundle values, thresholds and the re-check run in integers on the agent's
+    kernel row, non-negative once chores are negated; the prices stay Fractions.
     """
     _require_agent(instance, agent)
     orientation = instance.orientation()
@@ -332,13 +338,14 @@ def aps_share(
         )
     if f == 0:
         return ShareValue(value=base, certificate=PriceVector((), b))
-    row = instance.values[agent]
+    row, scale = instance.kernel.rows[agent], instance.kernel.scales[agent]
     free_row = [row[p] for p in free_positions]
     budget = b
     if orientation == "chores":
         free_row, budget = [-v for v in free_row], 1 - b
     values = _subset_sums(free_row)
-    # On chores values[-1] = -v(free), the shift back to the primal values.
+    least = _least_items(free_row)
+    # On chores values[-1] = -v(free) * scale, the shift back to the primal values.
     shift = -values[-1] if orientation == "chores" else 0
     thresholds = sorted(set(values))
     # Exclusion is monotone in the threshold: find the last non-excludable.
@@ -347,7 +354,7 @@ def aps_share(
     prices_at_cut = None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        excl, prices = _excludable(values, f, thresholds[mid], budget)
+        excl, prices = _excludable(values, least, f, thresholds[mid], budget)
         if excl:
             hi, prices_at_cut = mid, prices
         else:
@@ -360,10 +367,10 @@ def aps_share(
         weights = list(prices_at_cut)
     vector = PriceVector(tuple(zip(names, weights)), b)
 
-    value = base + shift + free_value
+    value = base + Fraction(shift + free_value, scale)
     best = _best_within_budget(values, weights, budget)
     if best != free_value:
-        found = "no bundle" if best is None else base + shift + best
+        found = "no bundle" if best is None else base + Fraction(shift + best, scale)
         raise CertificateError(
             f"anyprice certificate failed re-verification: its prices "
             f"certify {found}, not {value}"

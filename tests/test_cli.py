@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,20 @@ def test_values_past_a_floats_range_render_in_text_and_json(tmp_path, capsys):
     )
     assert main([*shares, chores]) == 0
     assert capsys.readouterr().out.startswith("agent 0: prop = ~-1.5e+400\n")
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Fraction(-12346 * 10**296), "~-1.2346e+300"),
+        (Fraction(-1, 3 * 10**120), "~-3.3333e-121"),
+        (Fraction(1, 3 * 10**400), "~3.3333e-401"),
+        (Fraction(1, 7 * 10**11), "~1.4286e-12"),
+        (Fraction(-4, 3), "-4/3"),
+    ],
+)
+def test_display_keeps_five_digits_and_the_whole_exponent(value, text):
+    assert cli._display(value) == text
 
 
 def test_solve_leveled(tmp_path, capsys):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import fairdual
 from fairdual import model
 from fairdual.criteria import ComparisonCriterion, is_fair
+from fairdual.duality import dualize
 from fairdual.leveled import leveled_counterexample, solve_leveled_efxwc
 from fairdual.model import (
     MAX_DECIMAL_EXPONENT,
@@ -37,7 +38,7 @@ from fairdual.model import (
     validate_allocation,
 )
 from fairdual.search import count_fair, exists_fair, max_nash_welfare
-from fairdual.shares import mms_share
+from fairdual.shares import aps_share, mms_share
 from strategies import corrupted_encodings, json_allocations, json_instances, json_values
 
 
@@ -246,6 +247,48 @@ def test_every_consumer_reads_the_one_compiled_kernel(monkeypatch):
     for agent in range(n):
         mms_share(instance, agent)
     assert len(calls) == n
+
+
+def test_anyprice_shares_compile_no_value_row_beyond_the_kernels(monkeypatch):
+    """Every agent's anyprice share on an instance and on its dual: the two
+    instances' n kernel rows are the only value rows compiled. The re-check
+    scales each price vector with its budget, and `exactlp` scales its own
+    constraint rows; neither is a value row."""
+    calls = []
+    original = model._integer_row
+
+    def counted_in(name):
+        def counted(values):
+            calls.append((name, list(values)))
+            return original(values)
+
+        return counted
+
+    for info in pkgutil.iter_modules(fairdual.__path__):
+        module = importlib.import_module(f"fairdual.{info.name}")
+        if hasattr(module, "_integer_row"):
+            monkeypatch.setattr(module, "_integer_row", counted_in(info.name))
+    n = 3
+    instance = Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", (1, 2, 1, 2, n)[k]) for k in range(5)),
+        values=tuple(
+            tuple(Fraction(10 + (i + k) % 3, 10 + k) for k in range(5)) for i in range(n)
+        ),
+    )
+    dual = dualize(instance).instance
+    assert calls == []
+    for inst, b in ((instance, Fraction(1, n)), (dual, 1 - Fraction(1, n))):
+        for agent in range(n):
+            aps_share(inst, agent, b)
+    assert [values for name, values in calls if name == "model"] == [
+        list(row) for inst in (instance, dual) for row in inst.values
+    ]
+    for name, (*weights, budget) in calls:
+        if name == "shares":
+            assert sum(weights) == 1 and budget in (Fraction(1, n), 1 - Fraction(1, n))
+        else:
+            assert name in ("model", "exactlp")
 
 
 def test_value_accessors():

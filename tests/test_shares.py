@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from aps_reference import reference_aps_share, reference_price_value
 from hypothesis import strategies as st
 from plan_reference import plan_choices
@@ -535,3 +535,51 @@ def test_aps_search_matches_the_reference(instance, data):
         assert share.value == reference.value
         assert share.certificate.entitlement == reference.certificate.entitlement
         assert reference_price_value(instance, agent, share.certificate) == share.value
+
+
+@st.composite
+def mixed_scale_instances(draw):
+    """2-4 agents, up to 5 shared types and 0-2 full-copy ones; goods or
+    chores with denominators 1..7, so each agent's row has its own scale."""
+    n = draw(st.integers(2, 4))
+    copies = draw(st.lists(st.integers(1, n - 1), max_size=5))
+    copies = draw(st.permutations(copies + [n] * draw(st.integers(0, 2))))
+    sign = draw(st.sampled_from((1, -1)))
+    value = st.builds(Fraction, st.integers(0, 12), st.integers(1, 7))
+    return Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
+        values=tuple(tuple(sign * draw(value) for _ in copies) for _ in range(n)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_scale_instances(), st.data())
+def test_aps_on_scaled_integer_rows_matches_the_reference(instance, data):
+    """Entitlements 2/5 and 3/7 have denominators the prices need not share."""
+    agent = data.draw(st.integers(0, instance.agents - 1))
+    for entitlement in (None, Fraction(2, 5), Fraction(3, 7)):
+        share = aps_share(instance, agent, entitlement)
+        reference = reference_aps_share(instance, agent, entitlement)
+        assert share.value == reference.value
+        if instance.orientation() == "goods":
+            assert share == reference
+        else:
+            assert reference_price_value(instance, agent, share.certificate) == share.value
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=7))
+@example([0, 0, 2, 2, 3])
+def test_least_item_frontier_matches_a_one_removal_scan(row):
+    """Zero-valued and tied items included, at every threshold from the least up."""
+    values = shares._subset_sums(row)
+    least = shares._least_items(row)
+    for threshold in sorted(set(values)):
+        qualifying = {m for m, v in enumerate(values) if v >= threshold}
+        scan = [
+            m
+            for m in sorted(qualifying)
+            if not any((m ^ (1 << i)) in qualifying for i in range(len(row)) if m >> i & 1)
+        ]
+        assert shares._frontier(values, least, threshold) == scan
