@@ -46,9 +46,12 @@ DISPLAY_WIDTH = 12
 
 
 def _display(value: Fraction) -> str:
-    text = str(format_rational(value))
-    if len(text) <= DISPLAY_WIDTH:
-        return text
+    # Size first: str() refuses integers past sys.get_int_max_str_digits().
+    limit = 10**DISPLAY_WIDTH
+    if abs(value.numerator) < limit and value.denominator < limit:
+        text = str(format_rational(value))
+        if len(text) <= DISPLAY_WIDTH:
+            return text
     # Five digits rounded exactly at any exponent, in a float's style where one holds it.
     exact = decimal.Context(prec=5, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
     rounded = exact.divide(value.numerator, value.denominator)
@@ -123,7 +126,7 @@ def _criterion_json(criterion, **rest) -> dict:
 def _cmd_check(args):
     instance = _instance(args.instance)
     allocation = _load(args.allocation, allocation_from_json)
-    criterion = criterion_for(instance, args.notion, args.orientation)
+    criterion = criterion_for(instance, args.notion)
     report = is_fair(instance, allocation, criterion)
     witnesses = [asdict(w) for w in report.witnesses]
     payload = _criterion_json(criterion, fair=report.fair, witnesses=witnesses)
@@ -136,7 +139,7 @@ def _cmd_check(args):
 
 def _cmd_exists(args):
     instance = _instance(args.instance)
-    criterion = criterion_for(instance, args.notion, args.orientation)
+    criterion = criterion_for(instance, args.notion)
     budget = _budget(args)
     if args.all:
         count, witness = count_fair(instance, criterion, budget=budget)
@@ -302,10 +305,7 @@ def _flag(*names, **kw) -> tuple:
 
 
 INSTANCE = _flag("--instance", required=True)
-NOTION = (
-    _flag("--notion", required=True),
-    _flag("--orientation", choices=("goods", "chores")),
-)
+NOTION = _flag("--notion", required=True)
 BUDGET = _flag(
     "--budget",
     type=int,
@@ -329,11 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     command(
         "check", _cmd_check, "test an allocation against a notion",
-        INSTANCE, _flag("--allocation", required=True), *NOTION,
+        INSTANCE, _flag("--allocation", required=True), NOTION,
     )
     command(
         "exists", _cmd_exists, "search all allocations for a notion",
-        INSTANCE, *NOTION,
+        INSTANCE, NOTION,
         _flag("--all", action="store_true", help="count every satisfying allocation"),
         BUDGET,
     )

@@ -84,21 +84,14 @@ def parse_notion(notion: str) -> tuple:
     return base, wc
 
 
-def criterion_for(
-    instance: Instance, notion: str, orientation: Optional[str] = None
-) -> ComparisonCriterion:
-    """Build a criterion for this instance, inferring orientation from sign.
-
-    An explicit orientation wins; otherwise the instance must be sign-pure
-    and its own orientation is used.
-    """
+def criterion_for(instance: Instance, notion: str) -> ComparisonCriterion:
+    """Build a criterion for this sign-pure instance, in its own orientation."""
     base, wc = parse_notion(notion)
+    orientation = instance.orientation()
     if orientation is None:
-        orientation = instance.orientation()
-        if orientation is None:
-            raise OrientationError(
-                "instance mixes goods and chores; no criterion applies to it"
-            )
+        raise OrientationError(
+            "instance mixes goods and chores; no criterion applies to it"
+        )
     return ComparisonCriterion(base, orientation, wc)
 
 
@@ -241,15 +234,21 @@ class EnvyGraph:
 
 
 def envy_graph(instance: Instance, allocation: Allocation) -> EnvyGraph:
-    """Build the envy graph of a valid allocation (any sign pattern)."""
+    """Build the envy graph of a valid allocation (any sign pattern).
+
+    The edges are the pairs the plain goods EF test rejects on the signed
+    kernel rows: there it compares the agent's own value with the other's.
+    """
     require_valid(instance, allocation)
-    edges = set()
-    for i in range(instance.agents):
-        own = instance.bundle_value(i, allocation.bundles[i])
-        for j in range(instance.agents):
-            if i != j and own < instance.bundle_value(i, allocation.bundles[j]):
-                edges.add((i, j))
-    return EnvyGraph(instance.agents, frozenset(edges))
+    ef = ComparisonCriterion("ef")
+    masks = _masks(instance, allocation.bundles)
+    edges = frozenset(
+        (i, j)
+        for i, row in enumerate(instance.kernel.rows)
+        for j, mask in enumerate(masks)
+        if i != j and not criterion_eval(ef, row, masks[i], mask)
+    )
+    return EnvyGraph(instance.agents, edges)
 
 
 def cancel_envy_cycle(
@@ -266,12 +265,9 @@ def cancel_envy_cycle(
     if len(set(cycle)) != len(cycle):
         raise NotACycleError(f"agents repeat in {cycle}")
     graph = envy_graph(instance, allocation)
-    for pos, agent in enumerate(cycle):
-        nxt = cycle[(pos + 1) % len(cycle)]
+    bundles = list(allocation.bundles)
+    for agent, nxt in zip(cycle, cycle[1:] + cycle[:1]):
         if not graph.has_edge(agent, nxt):
             raise NotACycleError(f"agent {agent} does not envy agent {nxt}")
-    bundles = list(allocation.bundles)
-    for pos, agent in enumerate(cycle):
-        nxt = cycle[(pos + 1) % len(cycle)]
         bundles[agent] = allocation.bundles[nxt]
     return Allocation(tuple(bundles))

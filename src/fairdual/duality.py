@@ -14,6 +14,7 @@ for the without-commons criteria, with goods and chores swapped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .criteria import ComparisonCriterion, is_fair
@@ -51,11 +52,15 @@ def dualize(
     if allocation is not None:
         require_valid(instance, allocation)
     n = instance.agents
-    existing = {t.name for t in instance.types}
     for record in reinsert:
-        if record.item.name in existing:
+        if record.item.name in instance.index:
             raise InstanceError(
                 f"reinserted type {record.item.name!r} collides with an existing type"
+            )
+        if record.position < 0:
+            raise InstanceError(
+                f"reinserted type {record.item.name!r} has negative position "
+                f"{record.position}"
             )
         if len(record.values) != n:
             raise InstanceError(
@@ -112,27 +117,31 @@ def check_envy_duality(
 
 
 def check_share_duality(
-    instance: Instance, share: str = "prop", budget: Optional[int] = None
+    instance: Instance,
+    share: str = "prop",
+    budget: Optional[int] = None,
+    entitlement: Optional[Fraction] = None,
 ) -> bool:
-    """Proportional and maximin shares shift by the typeset value under duality.
+    """Proportional, maximin and anyprice shares shift by the typeset value under duality.
 
     For every agent i: share(instance, i) equals share(dual, i) plus i's
-    typeset value. Holds for "prop" and "mms"; other shares do not obey a
-    linear shift and are rejected.
+    typeset value. The anyprice share at entitlement b (default 1/n) is
+    compared with the dual's at 1 - b. Other shares do not obey a linear
+    shift and are rejected.
     """
-    from . import shares
+    from .shares import ShareSpec, share_value
 
-    if share not in ("prop", "mms"):
+    if share not in ("prop", "mms", "aps"):
         raise ValueError(f"no linear duality shift for share {share!r}")
+    dual_entitlement = None
+    if share == "aps":
+        b = Fraction(1, instance.agents) if entitlement is None else Fraction(entitlement)
+        # A one-agent dual holds no types, so its share is 0 at any entitlement.
+        dual_entitlement = 1 - b if b < 1 else None
     dual = dualize(instance).instance
     for i in range(instance.agents):
-        offset = instance.typeset_value(i)
-        if share == "prop":
-            primal = shares.prop_share(instance, i)
-            mirrored = shares.prop_share(dual, i)
-        else:
-            primal = shares.mms_share(instance, i, budget=budget).value
-            mirrored = shares.mms_share(dual, i, budget=budget).value
-        if primal != mirrored + offset:
+        primal = share_value(instance, ShareSpec(share, i, entitlement), budget).value
+        mirrored = share_value(dual, ShareSpec(share, i, dual_entitlement), budget).value
+        if primal != mirrored + instance.typeset_value(i):
             return False
     return True

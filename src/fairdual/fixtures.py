@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Optional
 
 from .criteria import cancel_envy_cycle, criterion_for, is_fair
-from .duality import dualize
+from .duality import check_share_duality, dualize
 from .model import (
     Allocation,
     FairdualError,
@@ -30,7 +30,6 @@ from .search import exists_fair, max_nash_welfare
 from .shares import (
     ShareSpec,
     check_alpha_mms,
-    check_aps_entitlement_duality,
     prop_share,
     share_value,
     verify_mms_lower_bound,
@@ -111,7 +110,7 @@ def _claim_is_fair(fixture: Fixture, claim: dict, budget) -> tuple:
     name = claim["allocation"]
     instance, allocation = _view(fixture, claim)
     notion = claim["notion"]
-    criterion = criterion_for(instance, notion, claim.get("orientation"))
+    criterion = criterion_for(instance, notion)
     report = is_fair(instance, allocation, criterion)
     passed = report.fair == claim["expect"]
     detail = ""
@@ -131,7 +130,7 @@ def _claim_is_fair(fixture: Fixture, claim: dict, budget) -> tuple:
 
 def _claim_exists(fixture: Fixture, claim: dict, budget) -> tuple:
     notion = claim["notion"]
-    criterion = criterion_for(fixture.instance, notion, claim.get("orientation"))
+    criterion = criterion_for(fixture.instance, notion)
     certificate = exists_fair(fixture.instance, criterion, budget=budget)
     passed = certificate.exists == claim["expect"]
     detail = ""
@@ -239,9 +238,8 @@ def _claim_alpha_bound_via_prop(fixture: Fixture, claim: dict, budget) -> tuple:
 
 
 def _claim_aps_entitlement_duality(fixture, claim, budget) -> tuple:
-    allocation = fixture.allocations[claim["allocation"]]
-    ok = check_aps_entitlement_duality(
-        fixture.instance, allocation, parse_rational(claim["entitlement"])
+    ok = check_share_duality(
+        fixture.instance, "aps", entitlement=parse_rational(claim["entitlement"])
     )
     passed = ok == claim["expect"]
     detail = "" if passed else f"checker returned {ok}"

@@ -22,7 +22,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .duality import dualize
 from .exactlp import maximize
 from .model import (
     Allocation,
@@ -376,32 +375,6 @@ def aps_share(
             f"certify {found}, not {value}"
         )
     return ShareValue(value=value, certificate=vector)
-
-
-def check_aps_entitlement_duality(
-    instance: Instance, allocation: Allocation, entitlement: Fraction
-) -> bool:
-    """Anyprice fairness at entitlement b mirrors the dual at 1 - b.
-
-    Verifies, per agent, that the dual share equals the primal share minus
-    the typeset value, and that own-bundle fairness agrees on both sides.
-    """
-    b = Fraction(entitlement)
-    if not 0 < b < 1:
-        raise ValueError("entitlement must lie strictly between 0 and 1")
-    dual = dualize(instance, allocation)
-    for i in range(instance.agents):
-        primal = aps_share(instance, i, b).value
-        mirrored = aps_share(dual.instance, i, 1 - b).value
-        if mirrored != primal - instance.typeset_value(i):
-            return False
-        fair_here = instance.bundle_value(i, allocation.bundles[i]) >= primal
-        fair_dual = (
-            dual.instance.bundle_value(i, dual.allocation.bundles[i]) >= mirrored
-        )
-        if fair_here != fair_dual:
-            return False
-    return True
 
 
 def share_value(

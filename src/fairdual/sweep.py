@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .criteria import BASES, HIERARCHY_EDGES, ComparisonCriterion, _bundles
-from .model import Instance, format_rational, instance_to_json
+from .model import format_rational, instance_to_json
 from .randgen import GENERATOR_VERSION, random_instance
 from .search import _first_unfair_pair, _walk, plan_total
 from .shares import mms_share
@@ -119,27 +119,27 @@ class SweepReport:
         }
 
 
-def _sweep_instance(config: SweepConfig, rng: random.Random) -> Instance:
-    return random_instance(
-        rng,
-        max_agents=config.max_agents,
-        max_types=config.max_types,
-        orientation="goods",
-        max_abs_value=config.max_value,
-    )
+def _violation(kind: str, index: int, instance, detail: str) -> SweepViolation:
+    """A violation on the sweep's index-th instance, with that instance as reproducer."""
+    return SweepViolation(kind, index, detail, instance_to_json(instance))
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Execute the sweep described by the config."""
     rng = random.Random(config.seed)
     passing = {notion: 0 for notion in SWEEP_NOTIONS}
-    min_ratio = {notion: None for notion in SWEEP_NOTIONS}
-    min_index = {notion: None for notion in SWEEP_NOTIONS}
+    lowest = {}  # notion -> (least ratio, sweep index of the first instance with it)
     violations = []
     total_allocations = 0
     skipped = 0
     for index in range(config.count):
-        instance = _sweep_instance(config, rng)
+        instance = random_instance(
+            rng,
+            max_agents=config.max_agents,
+            max_types=config.max_types,
+            orientation="goods",
+            max_abs_value=config.max_value,
+        )
         if plan_total(instance) > config.plan_cap:
             skipped += 1
             continue
@@ -156,51 +156,34 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             }
             for stronger, weaker in HIERARCHY_EDGES:
                 if verdict[stronger] and not verdict[weaker]:
-                    violations.append(
-                        SweepViolation(
-                            kind="hierarchy",
-                            index=index,
-                            detail=(
-                                f"{stronger} holds but {weaker} fails on "
-                                f"{[sorted(b) for b in _bundles(instance, masks)]}"
-                            ),
-                            instance=instance_to_json(instance),
-                        )
-                    )
+                    bundles = [sorted(b) for b in _bundles(instance, masks)]
+                    detail = f"{stronger} holds but {weaker} fails on {bundles}"
+                    violations.append(_violation("hierarchy", index, instance, detail))
+            # Each agent's value over a positive maximin share, once per allocation.
+            ratios = [
+                (agent, Fraction(own[agent], scales[agent]) / share)
+                for agent, share in enumerate(maximins)
+                if share > 0
+            ]
+            least = min((ratio for _, ratio in ratios), default=None)
             for notion in SWEEP_NOTIONS:
                 if not verdict[notion]:
                     continue
                 passing[notion] += 1
-                for agent in range(instance.agents):
-                    share = maximins[agent]
-                    if share <= 0:
-                        continue
-                    value = Fraction(own[agent], scales[agent])
-                    ratio = value / share
-                    if min_ratio[notion] is None or ratio < min_ratio[notion]:
-                        min_ratio[notion] = ratio
-                        min_index[notion] = index
-                    floor = BOUND_FLOORS.get(notion)
-                    if floor is not None and ratio < floor:
-                        violations.append(
-                            SweepViolation(
-                                kind="bound",
-                                index=index,
-                                detail=(
-                                    f"{notion} allocation gives agent {agent} "
-                                    f"ratio {format_rational(ratio)} < "
-                                    f"{format_rational(floor)}"
-                                ),
-                                instance=instance_to_json(instance),
-                            )
+                if ratios and (notion not in lowest or least < lowest[notion][0]):
+                    lowest[notion] = (least, index)
+                floor = BOUND_FLOORS.get(notion)
+                if floor is None:
+                    continue
+                for agent, ratio in ratios:
+                    if ratio < floor:
+                        detail = (
+                            f"{notion} allocation gives agent {agent} "
+                            f"ratio {format_rational(ratio)} < {format_rational(floor)}"
                         )
+                        violations.append(_violation("bound", index, instance, detail))
     stats = tuple(
-        NotionStats(
-            notion=notion,
-            passing=passing[notion],
-            min_ratio=min_ratio[notion],
-            min_ratio_index=min_index[notion],
-        )
+        NotionStats(notion, passing[notion], *lowest.get(notion, (None, None)))
         for notion in SWEEP_NOTIONS
     )
     return SweepReport(

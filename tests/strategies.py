@@ -33,6 +33,35 @@ def allocated_instances(draw):
 
 
 @st.composite
+def signed_allocations(draw, pure=False):
+    """1-4 agents, 0-5 goods or chores with copies 1..n, and a complete allocation.
+
+    Copies reach n, so full-copy types, which the dual drops, turn up. With
+    `pure`, every type has the same sign.
+    """
+    n = draw(st.integers(1, 4))
+    copies = draw(st.lists(st.integers(1, n), max_size=5))
+    if pure:
+        signs = [draw(st.sampled_from((1, -1)))] * len(copies)
+    else:
+        signs = [draw(st.sampled_from((1, -1))) for _ in copies]
+    value = st.builds(Fraction, st.integers(0, 12), st.integers(1, 5))
+    instance = Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
+        values=tuple(tuple(s * draw(value) for s in signs) for _ in range(n)),
+    )
+    holders = [draw(st.permutations(range(n)))[:c] for c in copies]
+    allocation = Allocation(
+        tuple(
+            frozenset(f"t{k}" for k, held in enumerate(holders) if i in held)
+            for i in range(n)
+        )
+    )
+    return instance, allocation
+
+
+@st.composite
 def json_instances(draw):
     """1-4 agents and 0-5 types in shuffled name order; shared or per-agent
     columns of one sign each, with zeros and fractions."""

@@ -85,12 +85,14 @@ def test_check_json_witnesses_carry_every_field(doubled_types, witness, capsys):
 
 
 def test_check_orientation_mismatch_is_an_error(doubled_types, witness, capsys):
-    code = main(
-        ["check", "--instance", doubled_types, "--allocation", witness,
-         "--notion", "efx", "--orientation", "chores"]
-    )
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    """The orientation comes from the instance's signs; no flag can ask for another."""
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["check", "--instance", doubled_types, "--allocation", witness,
+             "--notion", "efx", "--orientation", "chores"]
+        )
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --orientation chores" in capsys.readouterr().err
 
 
 def test_exists_refutation(doubled_types, capsys):
@@ -271,6 +273,28 @@ def test_values_past_a_floats_range_render_in_text_and_json(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("agent 0: prop = ~-1.5e+400\n")
 
 
+def test_results_past_the_digit_limit_round_in_text(tmp_path, capsys):
+    """str() refuses integers past sys.get_int_max_str_digits(), so text output
+    rounds them without it; --json has no rounding and exits 2."""
+    goods = write_json(
+        tmp_path / "goods.json",
+        {
+            "agents": 2,
+            "types": [
+                {"name": "a", "copies": 1, "values": {"shared": "1e3000"}},
+                {"name": "b", "copies": 1, "values": {"shared": "1e3000"}},
+            ],
+        },
+    )
+    assert main(["mnw", "--instance", goods]) == 0
+    lines = ["nash welfare: ~1e+6000", "  agent 0: ['a']", "  agent 1: ['b']"]
+    assert capsys.readouterr().out.splitlines() == lines
+    assert main(["mnw", "--instance", goods, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Exceeds the limit (4300 digits)")
+
+
 @pytest.mark.parametrize(
     "value, text",
     [
@@ -279,6 +303,8 @@ def test_values_past_a_floats_range_render_in_text_and_json(tmp_path, capsys):
         (Fraction(1, 3 * 10**400), "~3.3333e-401"),
         (Fraction(1, 7 * 10**11), "~1.4286e-12"),
         (Fraction(-4, 3), "-4/3"),
+        (Fraction(10**6000), "~1e+6000"),
+        (Fraction(-1, 10**5000), "~-1e-5000"),
     ],
 )
 def test_display_keeps_five_digits_and_the_whole_exponent(value, text):
@@ -451,11 +477,6 @@ def test_mixed_instance_is_refused_under_any_orientation(tmp_path, capsys):
     )
     assert main(["exists", "--instance", mixed, "--notion", "ef1"]) == 2
     assert "mixes goods and chores; no criterion applies" in capsys.readouterr().err
-    for orientation in ("goods", "chores"):
-        code = main(["exists", "--instance", mixed, "--notion", "ef1",
-                     "--orientation", orientation])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
 
 
 def test_usage_error_from_argparse(doubled_types):
@@ -578,6 +599,24 @@ def test_package_imports_the_standard_library_only():
                 continue
             for module in modules:
                 assert module.split(".")[0] in allowed, (name, module)
+
+
+def test_every_module_level_import_is_used():
+    """A name a module imports at its top level must be read somewhere in that module."""
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=name)
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - used, (name, sorted(imported - used))
 
 
 def test_cli_import_does_not_load_multiprocessing():

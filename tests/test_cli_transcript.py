@@ -80,6 +80,13 @@ FILES = {
         "agents": 1,
         "types": [{"name": "a", "copies": 1, "values": ["1e-1000000"]}],
     },
+    "huge-welfare.json": {
+        "agents": 2,
+        "types": [
+            {"name": "a", "copies": 1, "values": {"shared": "1e3000"}},
+            {"name": "b", "copies": 1, "values": {"shared": "1e3000"}},
+        ],
+    },
 }
 RAW_FILES = {
     "malformed.json": b'{"agents": 3,\n  "types": [,]}',
@@ -102,7 +109,6 @@ CASES = [
     ["check", "--instance", G, "--allocation", W, "--notion", "efx_wc", "--json"],
     ["check", "--instance", G, "--allocation", W, "--notion", "efx"],
     ["check", "--instance", G, "--allocation", W, "--notion", "efx", "--json"],
-    ["check", "--instance", G, "--allocation", W, "--notion", "ef", "--orientation", "goods"],
     ["check", "--instance", C, "--allocation", CA, "--notion", "ef1"],
     ["check", "--instance", C, "--allocation", CA, "--notion", "efx_wc", "--json"],
     ["check", "--instance", G, "--allocation", W, "--notion", "efx", "--orientation", "chores"],
@@ -119,13 +125,11 @@ CASES = [
     ["exists", "--instance", G, "--notion", "efx_wc", "--all", "--json"],
     ["exists", "--instance", G, "--notion", "ef", "--all"],
     ["exists", "--instance", G, "--notion", "ef", "--all", "--json"],
-    ["exists", "--instance", C, "--notion", "ef1", "--orientation", "chores"],
     ["exists", "--instance", C, "--notion", "efx", "--json"],
     ["exists", "--instance", G, "--notion", "efx", "--budget", "10"],
     ["exists", "--instance", G, "--notion", "efx", "--budget", "81"],
     ["exists", "--instance", G, "--notion", "efx_wc", "--all", "--budget", "5"],
     ["exists", "--instance", MIX, "--notion", "ef1"],
-    ["exists", "--instance", MIX, "--notion", "ef1", "--orientation", "goods"],
     ["exists", "--instance", "<tmp>/missing.json", "--notion", "ef1"],
     ["exists", "--instance", BAD, "--notion", "ef1"],
     ["exists", "--instance", "<tmp>/not-an-object.json", "--notion", "ef1"],
@@ -161,6 +165,8 @@ CASES = [
     ["mnw", "--instance", TINY, "--json"],
     ["mnw", "--instance", G, "--budget", "5"],
     ["mnw", "--instance", C],
+    ["mnw", "--instance", "<tmp>/huge-welfare.json"],
+    ["mnw", "--instance", "<tmp>/huge-welfare.json", "--json"],
     # solve-leveled
     ["solve-leveled", "--instance", LEV],
     ["solve-leveled", "--instance", LEV, "--json"],

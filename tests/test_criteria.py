@@ -19,7 +19,7 @@ from fairdual.criteria import (
 from fairdual.model import Allocation, Instance, ItemType, bundle
 from fairdual.randgen import random_allocation, random_instance
 from kernel_views import pair_eval
-from strategies import allocated_instances
+from strategies import allocated_instances, signed_allocations
 
 
 def test_parse_notion():
@@ -52,7 +52,6 @@ def test_criterion_for_infers_orientation():
     )
     with pytest.raises(OrientationError):
         criterion_for(mixed, "ef1")
-    assert criterion_for(mixed, "ef1", orientation="goods").orientation == "goods"
 
 
 def test_goods_base_definitions_by_hand():
@@ -183,6 +182,21 @@ def test_envy_graph_and_cycle_cancel():
     assert swapped.bundles[0] == bundle("b")
     assert swapped.bundles[1] == bundle("a")
     assert not envy_graph(instance, swapped).edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_allocations())
+def test_envy_graph_edges_are_strict_value_gaps(case):
+    """Goods, chores and mixed alike: i -> j exactly when i values A_j above A_i."""
+    instance, allocation = case
+    bundles = allocation.bundles
+    expected = {
+        (i, j)
+        for i in range(instance.agents)
+        for j in range(instance.agents)
+        if instance.bundle_value(i, bundles[i]) < instance.bundle_value(i, bundles[j])
+    }
+    assert envy_graph(instance, allocation).edges == expected
 
 
 def test_cancel_requires_actual_cycle():

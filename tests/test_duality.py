@@ -15,6 +15,7 @@ from fairdual.duality import (
 )
 from fairdual.model import Allocation, Instance, InstanceError, ItemType, bundle
 from fairdual.randgen import random_instance
+from strategies import signed_allocations
 
 
 def section_instance():
@@ -81,37 +82,26 @@ def test_reinsert_rejects_name_collisions():
         dualize(result.instance, reinsert=(clashing,))
 
 
-@st.composite
-def allocated_instances(draw, pure=False):
-    """1-4 agents, 0-5 goods or chores with copies 1..n, and a complete allocation.
-
-    Copies reach n, so full-copy types, which the dual drops, turn up. With
-    `pure`, every type has the same sign.
-    """
-    n = draw(st.integers(1, 4))
-    copies = draw(st.lists(st.integers(1, n), max_size=5))
-    if pure:
-        signs = [draw(st.sampled_from((1, -1)))] * len(copies)
-    else:
-        signs = [draw(st.sampled_from((1, -1))) for _ in copies]
-    value = st.builds(Fraction, st.integers(0, 12), st.integers(1, 5))
+def test_reinsert_rejects_negative_positions():
     instance = Instance(
-        agents=n,
-        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
-        values=tuple(tuple(s * draw(value) for s in signs) for _ in range(n)),
+        agents=2,
+        types=(ItemType("a", 1), ItemType("b", 1), ItemType("c", 1)),
+        values=((Fraction(1), Fraction(2), Fraction(3)),) * 2,
     )
-    holders = [draw(st.permutations(range(n)))[:c] for c in copies]
-    allocation = Allocation(
-        tuple(
-            frozenset(f"t{k}" for k, held in enumerate(holders) if i in held)
-            for i in range(n)
-        )
+    negative = DroppedType(
+        position=-1, item=ItemType("z", 2), values=(Fraction(5), Fraction(5))
     )
-    return instance, allocation
+    with pytest.raises(InstanceError, match="'z' has negative position -1"):
+        dualize(instance, reinsert=(negative,))
+    past_end = DroppedType(
+        position=9, item=ItemType("z", 2), values=(Fraction(5), Fraction(5))
+    )
+    dual = dualize(instance, reinsert=(past_end,)).instance
+    assert dual.type_names() == ("a", "b", "c", "z")
 
 
 @settings(max_examples=100, deadline=None)
-@given(allocated_instances())
+@given(signed_allocations())
 @example(
     (
         Instance(
@@ -139,7 +129,7 @@ def test_value_identity_on_random_instances(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(allocated_instances())
+@given(signed_allocations())
 def test_double_dual_round_trips_through_reinsert(case):
     """Dualizing twice, reinserting the dropped full-copy types, gives back the input."""
     instance, allocation = case
@@ -178,7 +168,7 @@ def test_envy_duality_on_known_witness():
 
 
 @settings(max_examples=150, deadline=None)
-@given(allocated_instances(pure=True))
+@given(signed_allocations(pure=True))
 def test_envy_duality_random_sweep(case):
     """Every base, lifted to without-commons, transfers to the dual, in both orientations."""
     instance, allocation = case
@@ -195,3 +185,28 @@ def test_share_duality_shift():
         assert check_share_duality(instance, "mms")
     with pytest.raises(ValueError):
         check_share_duality(section_instance(), "tps")
+
+
+@st.composite
+def share_duality_cases(draw):
+    """1-3 agents, 0-3 types held by some but not all, 0-2 held by everyone, one sign."""
+    n = draw(st.integers(1, 3))
+    copies = [] if n == 1 else draw(st.lists(st.integers(1, n - 1), max_size=3))
+    copies += [n] * draw(st.integers(0, 2))
+    copies = draw(st.permutations(copies))
+    sign = draw(st.sampled_from((1, -1)))
+    value = st.builds(Fraction, st.integers(0, 12), st.integers(1, 5))
+    return Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
+        values=tuple(tuple(sign * draw(value) for _ in copies) for _ in range(n)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(share_duality_cases(), st.sampled_from([None, Fraction(2, 5), Fraction(3, 7)]))
+def test_share_duality_holds_for_every_linear_share(instance, entitlement):
+    """PROP, MMS and APS (at b against 1 - b) shift by the typeset value, goods and chores."""
+    assert check_share_duality(instance, "prop")
+    assert check_share_duality(instance, "mms")
+    assert check_share_duality(instance, "aps", entitlement=entitlement)

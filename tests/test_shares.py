@@ -17,7 +17,7 @@ from plan_reference import plan_choices
 
 from fairdual import shares
 from fairdual.criteria import OrientationError
-from fairdual.duality import dualize
+from fairdual.duality import check_share_duality, dualize
 from fairdual.fixtures import load_fixture
 from fairdual.model import (
     Allocation,
@@ -36,7 +36,6 @@ from fairdual.shares import (
     ShareSpec,
     aps_share,
     check_alpha_mms,
-    check_aps_entitlement_duality,
     forced_types,
     mms_share,
     prop_share,
@@ -321,13 +320,7 @@ def test_aps_goods_dual_value():
 
 def test_aps_entitlement_duality_identity():
     chores = chores_instance()
-    allocation = Allocation.of(
-        ["c2", "c3", "c4", "c6"],
-        ["c2", "c3", "c4", "c5"],
-        ["c2", "c3", "c5", "c6"],
-        ["c4", "c5", "c6"],
-    )
-    assert check_aps_entitlement_duality(chores, allocation, Fraction(3, 4))
+    assert check_share_duality(chores, "aps", entitlement=Fraction(3, 4))
     dual_value = aps_share(dualize(chores).instance, 0, Fraction(1, 4)).value
     assert aps_share(chores, 0, Fraction(3, 4)).value == dual_value - 20
 

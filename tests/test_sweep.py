@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fairdual import sweep
 from fairdual.sweep import (
     BOUND_FLOORS,
     SWEEP_NOTIONS,
@@ -73,3 +74,46 @@ def test_skipped_instances_are_reported():
     assert capped.allocations < full.allocations
     assert capped.to_json()["skipped"] == capped.skipped
     assert SweepConfig(**capped.to_json()["config"]) == capped.config
+
+
+def test_forced_violations_keep_their_count_order_and_text(monkeypatch):
+    """A false lattice edge and raised floors make every kind of violation fire.
+
+    Hierarchy violations of an allocation come first, then bound violations
+    by notion and agent; the figures were recorded before the sweep computed
+    each allocation's ratios once.
+    """
+    floors = {"ef1": Fraction(1), "efx_wc": Fraction(6, 5)}
+    monkeypatch.setattr(sweep, "BOUND_FLOORS", floors)
+    monkeypatch.setattr(sweep, "HIERARCHY_EDGES", (("ef1", "ef"),) + sweep.HIERARCHY_EDGES)
+    report = run_sweep(SweepConfig(seed=1, count=4))
+    assert (report.allocations, report.skipped) == (33, 0)
+    hierarchy, bound = "hierarchy", "bound"
+    assert [(v.kind, v.index) for v in report.violations] == [
+        (bound, 0), (bound, 0),
+        (hierarchy, 1), (bound, 1), (hierarchy, 1), (bound, 1),
+        *[(hierarchy, 1)] * 4, (bound, 1), *[(hierarchy, 1)] * 4, (bound, 1),
+        *[(hierarchy, 1)] * 3, (bound, 1), (hierarchy, 1),
+        (hierarchy, 2),
+        (hierarchy, 3), (bound, 3), (bound, 3), (hierarchy, 3), *[(bound, 3)] * 3,
+    ]
+    assert [v.detail for v in report.violations[:4]] == [
+        "efx_wc allocation gives agent 0 ratio 1 < 6/5",
+        "efx_wc allocation gives agent 1 ratio 1 < 6/5",
+        "ef1 holds but ef fails on [['t1', 't2', 't3'], ['t1', 't2'], ['t1', 't4']]",
+        "ef1 allocation gives agent 2 ratio 8/9 < 1",
+    ]
+    assert report.violations[3].instance == {
+        "agents": 3,
+        "types": [
+            {"name": "t1", "copies": 3, "values": [7, 9, 3]},
+            {"name": "t2", "copies": 2, "values": [0, 0, 9]},
+            {"name": "t3", "copies": 1, "values": [6, 7, 1]},
+            {"name": "t4", "copies": 1, "values": [6, 4, 5]},
+        ],
+    }
+    by_notion = {
+        s.notion: (s.passing, s.min_ratio, s.min_ratio_index) for s in report.stats
+    }
+    assert by_notion["ef1"] == (20, Fraction(8, 9), 1)
+    assert by_notion["efx_wc"] == (12, Fraction(1), 0)
