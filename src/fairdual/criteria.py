@@ -17,7 +17,9 @@ instance: each agent's row times the LCM of its denominators (a positive
 factor, so no comparison changes). `_rows` negates it for chores, and a
 bundle is a mask with bit p set for the type at position p.
 `criterion_eval` strips with `a & ~b` / `b & ~a`, swaps the sides for
-chores and decides a goods base on the row's entries at the bits.
+chores and decides a goods base on the row's entries at the bits. It walks
+each side's bits once, summing them and, on the other side, tracking the
+largest (EF1) or smallest (EFX) entry; only EFL lists the other side.
 """
 
 from __future__ import annotations
@@ -135,19 +137,38 @@ def criterion_eval(criterion: ComparisonCriterion, row, mask_i: int, mask_u: int
         mask_i, mask_u = mask_i & ~mask_u, mask_u & ~mask_i
     if criterion.orientation == "chores":
         mask_i, mask_u = mask_u, mask_i
-    mine = sum(_entries(row, mask_i))
-    other = _entries(row, mask_u)
-    theirs = sum(other)
+    mine = 0
+    while mask_i:
+        low = mask_i & -mask_i
+        mine += row[low.bit_length() - 1]
+        mask_i ^= low
     base = criterion.base
-    if base == "ef":
-        return mine >= theirs
     if base == "efl":
+        other = _entries(row, mask_u)
+        theirs = sum(other)
         return len(other) <= 1 or any(mine >= theirs - v and mine >= v for v in other)
-    if not other:
+    if base == "ef":
+        theirs = 0
+        while mask_u:
+            low = mask_u & -mask_u
+            theirs += row[low.bit_length() - 1]
+            mask_u ^= low
+        return mine >= theirs
+    if not mask_u:
         return True
-    if base == "ef1":
-        return mine >= theirs - max(other)
-    return mine >= theirs - min(other)
+    # EF1 forgives the other side's largest entry, EFX its smallest.
+    largest = base == "ef1"
+    low = mask_u & -mask_u
+    theirs = spared = row[low.bit_length() - 1]
+    mask_u ^= low
+    while mask_u:
+        low = mask_u & -mask_u
+        v = row[low.bit_length() - 1]
+        theirs += v
+        if v > spared if largest else v < spared:
+            spared = v
+        mask_u ^= low
+    return mine >= theirs - spared
 
 
 def _offending_item(

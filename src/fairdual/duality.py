@@ -9,16 +9,22 @@ it, making a double dualization reproduce the original instance exactly.
 Allocations dualize to complements: agent i's dual bundle is every
 surviving type i does not hold. Fairness transfers between the two views
 for the without-commons criteria, with goods and chores swapped.
+
+Without `reinsert`, the dual is built from the validated primal without
+validating it again: its sign tags are the primal's, swapped, and its
+kernel, when the primal's is compiled, is derived from the primal rows
+(see `_dual_kernel`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .criteria import ComparisonCriterion, is_fair
-from .model import Allocation, Instance, InstanceError, ItemType, require_valid
+from .model import Allocation, Instance, InstanceError, ItemType, Kernel, require_valid
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,26 @@ class DualResult:
     instance: Instance
     allocation: Optional[Allocation]
     dropped: tuple
+
+
+_SWAPPED_TAG = {"good": "chore", "chore": "good", "zero": "zero"}
+
+
+def _dual_kernel(kernel: Kernel, keep: list) -> Kernel:
+    """The dual's kernel from the primal's: rows negated on the kept columns.
+
+    A primal entry is x = v * S for the row's scale S. The kept values'
+    least common denominator is S / g, with g the gcd of S and their
+    kept entries, so dividing each entry exactly by g gives the kernel a
+    validated dual compiles.
+    """
+    rows, scales = [], []
+    for row, scale in zip(*kernel):
+        kept = [row[pos] for pos in keep]
+        g = math.gcd(scale, *kept)
+        rows.append(tuple(-x // g for x in kept))
+        scales.append(scale // g)
+    return Kernel(tuple(rows), tuple(scales))
 
 
 def dualize(
@@ -76,12 +102,21 @@ def dualize(
     ]
     types = [ItemType(t.name, n - t.copies) for t in instance.types if t.copies < n]
     rows = [[-row[pos] for pos in keep] for row in instance.values]
-    for record in sorted(reinsert, key=lambda r: r.position):
-        at = min(record.position, len(types))
-        types.insert(at, ItemType(record.item.name, n))
-        for row, value in zip(rows, record.values):
-            row.insert(at, value)
-    dual_instance = Instance(agents=n, types=tuple(types), values=tuple(map(tuple, rows)))
+    if reinsert:
+        for record in sorted(reinsert, key=lambda r: r.position):
+            at = min(record.position, len(types))
+            types.insert(at, ItemType(record.item.name, n))
+            for row, value in zip(rows, record.values):
+                row.insert(at, value)
+        dual_instance = Instance(agents=n, types=tuple(types), values=tuple(map(tuple, rows)))
+    else:
+        tags = instance.type_tags
+        cached = {"type_tags": tuple(_SWAPPED_TAG[tags[pos]] for pos in keep)}
+        if "kernel" in instance.__dict__:
+            cached["kernel"] = _dual_kernel(instance.kernel, keep)
+        dual_instance = Instance._unvalidated(
+            n, tuple(types), tuple(map(tuple, rows)), **cached
+        )
 
     dual_allocation = None
     if allocation is not None:

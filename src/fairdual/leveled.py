@@ -114,6 +114,7 @@ def solve_leveled_efxwc(instance: Instance) -> LeveledResult:
     ranks = _rank_tables(rows)
     names = instance.type_names()
     limit = instance.agents * len(instance.types) ** 2
+    initial_potential = rank_sum = _rank_sum(ranks, start)
     trace = []
     while True:
         pair = _first_unfair_pair(rows, criterion, masks)
@@ -131,7 +132,10 @@ def solve_leveled_efxwc(instance: Instance) -> LeveledResult:
         swap = 1 << g_max | 1 << g_min
         masks[i] ^= swap
         masks[j] ^= swap
-        trace.append(Swap(i, j, names[g_max], names[g_min], _rank_sum(ranks, masks)))
+        # Round robin leaves at most two sizes and a swap keeps every size,
+        # so i stays on the lower level and j above it: only i's ranks move.
+        rank_sum += ranks[i][g_max] - ranks[i][g_min]
+        trace.append(Swap(i, j, names[g_max], names[g_min], rank_sum))
         if len(trace) > limit:
             raise FairdualError(
                 f"swap walk exceeded the {limit}-step potential bound"
@@ -144,6 +148,6 @@ def solve_leveled_efxwc(instance: Instance) -> LeveledResult:
     return LeveledResult(
         allocation=Allocation(tuple(bundles)),
         initial=initial,
-        initial_potential=_rank_sum(ranks, start),
+        initial_potential=initial_potential,
         trace=tuple(trace),
     )

@@ -185,6 +185,20 @@ class Instance:
                     "every type must be a good or a chore for all agents"
                 )
 
+    @classmethod
+    def _unvalidated(cls, agents: int, types: tuple, values: tuple, **cached) -> "Instance":
+        """An instance whose fields are known valid, skipping `__post_init__`.
+
+        `types` and `values` must already be tuples (rows too). Each keyword
+        presets the cached property of that name. Only `duality.dualize`
+        calls this, on fields derived from a validated instance.
+        """
+        instance = object.__new__(cls)
+        fields = {"agents": agents, "types": types, "values": values, **cached}
+        for name, value in fields.items():
+            object.__setattr__(instance, name, value)
+        return instance
+
     @cached_property
     def index(self) -> dict:
         """Type name to position."""

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from fairdual.criteria import (
     BASES,
@@ -186,6 +186,17 @@ def test_envy_graph_and_cycle_cancel():
 
 @settings(max_examples=150, deadline=None)
 @given(signed_allocations())
+@example(
+    # An empty bundle against a negative own value: agent 1 envies agent 0.
+    (
+        Instance(
+            agents=2,
+            types=(ItemType("t0", 1),),
+            values=((Fraction(0),), (Fraction(-1),)),
+        ),
+        Allocation.of([], ["t0"]),
+    )
+)
 def test_envy_graph_edges_are_strict_value_gaps(case):
     """Goods, chores and mixed alike: i -> j exactly when i values A_j above A_i."""
     instance, allocation = case

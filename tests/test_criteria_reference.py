@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import criteria_reference as ref
@@ -35,6 +35,32 @@ def pairs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(pairs())
+# EF: an empty other side against a negative own value.
+@example(({"t0": Fraction(-1)}, frozenset({"t0"}), frozenset()))
+# EF1 forgives the largest entry (found second), EFX the smallest (found first).
+@example(
+    (
+        {"t0": Fraction(1), "t1": Fraction(4), "t2": Fraction(2)},
+        frozenset({"t2"}),
+        frozenset({"t0", "t1"}),
+    )
+)
+# EFX's smallest entry comes second, EF1's largest first.
+@example(
+    (
+        {"t0": Fraction(4), "t1": Fraction(1), "t2": Fraction(2)},
+        frozenset({"t2"}),
+        frozenset({"t0", "t1"}),
+    )
+)
+# EFL: three entries on the other side, one of which it may drop.
+@example(
+    (
+        {"t0": Fraction(2), "t1": Fraction(2), "t2": Fraction(1), "t3": Fraction(3)},
+        frozenset({"t3"}),
+        frozenset({"t0", "t1", "t2"}),
+    )
+)
 def test_pair_test_matches_the_reference(pair):
     valuation, bundle_i, bundle_u = pair
     instance = one_agent(valuation)

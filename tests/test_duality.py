@@ -210,3 +210,73 @@ def test_share_duality_holds_for_every_linear_share(instance, entitlement):
     assert check_share_duality(instance, "prop")
     assert check_share_duality(instance, "mms")
     assert check_share_duality(instance, "aps", entitlement=entitlement)
+
+
+def test_reinsert_refusals_name_the_fault():
+    """Reinserted records are caller data, so the dual they build is validated."""
+    instance = Instance(
+        agents=2,
+        types=(ItemType("a", 1),),
+        values=((Fraction(1),), (Fraction(2),)),
+    )
+
+    def record(name, *values):
+        return DroppedType(position=0, item=ItemType(name, 2), values=values)
+
+    with pytest.raises(InstanceError, match="^value 1 is not a Fraction$"):
+        dualize(instance, reinsert=(record("z", 1, Fraction(1)),))
+    with pytest.raises(
+        InstanceError,
+        match="^type 'z' has both positive and negative values; "
+        "every type must be a good or a chore for all agents$",
+    ):
+        dualize(instance, reinsert=(record("z", Fraction(1), Fraction(-1)),))
+    twice = record("z", Fraction(1), Fraction(1))
+    with pytest.raises(InstanceError, match="^duplicate type names$"):
+        dualize(instance, reinsert=(twice, twice))
+
+
+@st.composite
+def dual_cases(draw):
+    """1-4 agents, 0-6 types with copies 1..n (full-copy types drop), one
+    denominator 1-7 per type (so dropping a column can change a row's LCM),
+    some all-zero columns, and whether the kernel is compiled beforehand."""
+    n = draw(st.integers(1, 4))
+    copies = draw(st.lists(st.integers(1, n), max_size=6))
+    columns = []
+    for _ in copies:
+        sign, denominator = draw(st.sampled_from((1, -1))), draw(st.integers(1, 7))
+        numerators = st.just(0) if draw(st.booleans()) else st.integers(0, 12)
+        columns.append([Fraction(sign * draw(numerators), denominator) for _ in range(n)])
+    instance = Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
+        values=tuple(tuple(column[i] for column in columns) for i in range(n)),
+    )
+    return instance, draw(st.booleans())
+
+
+def assert_as_validated(dual):
+    validated = Instance(dual.agents, dual.types, dual.values)
+    assert dual == validated
+    assert dual.type_tags == validated.type_tags
+    assert dual.kernel == validated.kernel
+
+
+@settings(max_examples=150, deadline=None)
+@given(dual_cases())
+def test_the_dual_equals_the_validated_instance(case):
+    """The unvalidated dual carries the swapped tags and, when the primal's
+    kernel is compiled, a kernel derived from it; both match what a
+    validated instance of the same fields computes. So do the double dual
+    (again unvalidated) and the reinserted one (validated)."""
+    instance, compiled = case
+    if compiled:
+        instance.kernel
+    first = dualize(instance)
+    assert ("kernel" in first.instance.__dict__) == compiled
+    assert_as_validated(first.instance)
+    assert_as_validated(dualize(first.instance).instance)
+    restored = dualize(first.instance, reinsert=first.dropped).instance
+    assert restored == instance
+    assert_as_validated(restored)

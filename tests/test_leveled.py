@@ -10,7 +10,7 @@ from fairdual.leveled import (
     round_robin_init,
     solve_leveled_efxwc,
 )
-from fairdual.model import Instance, ItemType, NotLeveledError
+from fairdual.model import Allocation, Instance, ItemType, NotLeveledError
 from fairdual.randgen import random_leveled_instance
 
 
@@ -71,6 +71,14 @@ def test_swap_potentials_strictly_increase():
         assert all(a < b for a, b in zip(levels, levels[1:]))
         assert potential(instance, result.initial) == levels[0]
         assert potential(instance, result.allocation) == levels[-1]
+        # Each step's potential is that of the allocation replayed to it.
+        bundles = list(result.initial.bundles)
+        for swap in result.trace:
+            i, j = swap.envious, swap.envied
+            bundles[i] = bundles[i] - {swap.lost} | {swap.gained}
+            bundles[j] = bundles[j] - {swap.gained} | {swap.lost}
+            assert potential(instance, Allocation(tuple(bundles))) == swap.potential
+        assert Allocation(tuple(bundles)) == result.allocation
         seen_swaps += len(result.trace)
 
 

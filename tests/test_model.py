@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import math
@@ -247,6 +248,57 @@ def test_every_consumer_reads_the_one_compiled_kernel(monkeypatch):
     for agent in range(n):
         mms_share(instance, agent)
     assert len(calls) == n
+
+
+def test_the_leveled_pipeline_compiles_the_primal_kernel_only(monkeypatch):
+    """Solver, `is_fair`, `dualize` and the dual's chores `is_fair` on one
+    goods instance compile n rows: the dual's kernel is derived from the
+    primal's, with a full-copy column dropped."""
+    calls = []
+    original = model._integer_row
+
+    def counted(values):
+        calls.append(values)
+        return original(values)
+
+    for info in pkgutil.iter_modules(fairdual.__path__):
+        module = importlib.import_module(f"fairdual.{info.name}")
+        if hasattr(module, "_integer_row"):
+            monkeypatch.setattr(module, "_integer_row", counted)
+    n = 3
+    instance = Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", (1, 2, 1, n)[k]) for k in range(4)),
+        values=tuple(
+            tuple(Fraction(30 + (i + k) % 3, 30 + k) for k in range(4)) for i in range(n)
+        ),
+    )
+    allocation = solve_leveled_efxwc(instance).allocation
+    assert is_fair(instance, allocation, ComparisonCriterion("efx", "goods", True)).fair
+    dual = dualize(instance, allocation)
+    chores = ComparisonCriterion("efx", "chores", True)
+    assert is_fair(dual.instance, dual.allocation, chores).fair
+    assert len(dual.instance.types) == 3
+    assert len(calls) == n
+
+
+def test_only_model_and_duality_name_the_unvalidated_constructor():
+    """`Instance._unvalidated` skips validation, so only the dual may use it."""
+    package = os.path.dirname(os.path.abspath(model.__file__))
+    users = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=name)
+            # Attributes, names, definitions and string constants alike.
+            named = {
+                getattr(node, field, None)
+                for node in ast.walk(tree)
+                for field in ("attr", "id", "name", "value")
+            }
+            if "_unvalidated" in named:
+                users.add(name)
+    assert users == {"model.py", "duality.py"}
 
 
 def test_anyprice_shares_compile_no_value_row_beyond_the_kernels(monkeypatch):
