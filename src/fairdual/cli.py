@@ -14,11 +14,9 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
-import os
 import sys
 from dataclasses import asdict, fields
 from fractions import Fraction
-from typing import Optional
 
 from . import fixtures as fixture_corpus
 from .criteria import criterion_for, is_fair
@@ -35,8 +33,8 @@ from .model import (
     instance_to_json,
     parse_rational,
 )
-from .search import count_fair, exists_fair, max_nash_welfare
-from .shares import SHARE_KINDS, PriceVector, ShareSpec, share_value
+from .search import DEFAULT_ENUM_CAP, count_fair, exists_fair, max_nash_welfare
+from .shares import SHARE_KINDS, PriceVector, share_value
 from .sweep import SweepConfig, run_sweep
 
 OK, FAIL, ERROR = 0, 1, 2
@@ -88,20 +86,6 @@ def _instance(path: str) -> Instance:
     )
 
 
-def _budget(args) -> Optional[int]:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("FAIRDUAL_ENUM_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise FairdualError(
-                f"FAIRDUAL_ENUM_CAP must be an integer, got {env!r}"
-            ) from None
-    return None
-
-
 def _bundles_json(allocation: Allocation, instance: Instance) -> list:
     return allocation_to_json(allocation, instance)["bundles"]
 
@@ -140,9 +124,8 @@ def _cmd_check(args):
 def _cmd_exists(args):
     instance = _instance(args.instance)
     criterion = criterion_for(instance, args.notion)
-    budget = _budget(args)
     if args.all:
-        count, witness = count_fair(instance, criterion, budget=budget)
+        count, witness = count_fair(instance, criterion, budget=args.budget)
         payload = _criterion_json(
             criterion, count=count, witness=_certificate_json(witness, instance)
         )
@@ -150,7 +133,7 @@ def _cmd_exists(args):
         if witness is not None:
             lines.append(f"  first: {_bundles_json(witness, instance)}")
         return count > 0, payload, lines
-    certificate = exists_fair(instance, criterion, budget=budget)
+    certificate = exists_fair(instance, criterion, budget=args.budget)
     payload = _criterion_json(
         criterion,
         exists=certificate.exists,
@@ -196,9 +179,8 @@ def _cmd_shares(args):
     entitlement = (
         None if args.entitlement is None else parse_rational(args.entitlement)
     )
-    budget = _budget(args)
     rows = [
-        (agent, share_value(instance, ShareSpec(args.share, agent, entitlement), budget=budget))
+        (agent, share_value(instance, args.share, agent, entitlement, args.budget))
         for agent in agents
     ]
     payload = {
@@ -219,7 +201,7 @@ def _cmd_shares(args):
 
 def _cmd_mnw(args):
     instance = _instance(args.instance)
-    allocation, welfare = max_nash_welfare(instance, budget=_budget(args))
+    allocation, welfare = max_nash_welfare(instance, budget=args.budget)
     bundles = _bundles_json(allocation, instance)
     payload = {"bundles": bundles, "welfare": format_rational(welfare)}
     lines = [f"nash welfare: {_display(welfare)}"]
@@ -254,9 +236,11 @@ def _cmd_replicate(args):
         ids = tuple(args.ids)
     else:
         raise FairdualError("pass fixture ids or --all")
-    budget = _budget(args)
     runs = [
-        (fixture_id, fixture_corpus.replicate(fixture_corpus.load_fixture(fixture_id), budget))
+        (
+            fixture_id,
+            fixture_corpus.replicate(fixture_corpus.load_fixture(fixture_id), args.budget),
+        )
         for fixture_id in ids
     ]
     fixtures = [
@@ -309,7 +293,7 @@ NOTION = _flag("--notion", required=True)
 BUDGET = _flag(
     "--budget",
     type=int,
-    help="max allocations to enumerate (default FAIRDUAL_ENUM_CAP or built-in)",
+    help=f"max allocations to enumerate (default {DEFAULT_ENUM_CAP})",
 )
 JSON = _flag("--json", action="store_true", help="machine-readable output")
 

@@ -153,7 +153,7 @@ def check_envy_duality(
 
 def check_share_duality(
     instance: Instance,
-    share: str = "prop",
+    share: str,
     budget: Optional[int] = None,
     entitlement: Optional[Fraction] = None,
 ) -> bool:
@@ -164,19 +164,18 @@ def check_share_duality(
     compared with the dual's at 1 - b. Other shares do not obey a linear
     shift and are rejected.
     """
-    from .shares import ShareSpec, share_value
+    from .shares import share_value
 
     if share not in ("prop", "mms", "aps"):
         raise ValueError(f"no linear duality shift for share {share!r}")
     dual_entitlement = None
     if share == "aps":
         b = Fraction(1, instance.agents) if entitlement is None else Fraction(entitlement)
-        # A one-agent dual holds no types, so its share is 0 at any entitlement.
-        dual_entitlement = 1 - b if b < 1 else None
+        dual_entitlement = 1 - b
     dual = dualize(instance).instance
     for i in range(instance.agents):
-        primal = share_value(instance, ShareSpec(share, i, entitlement), budget).value
-        mirrored = share_value(dual, ShareSpec(share, i, dual_entitlement), budget).value
+        primal = share_value(instance, share, i, entitlement, budget).value
+        mirrored = share_value(dual, share, i, dual_entitlement, budget).value
         if primal != mirrored + instance.typeset_value(i):
             return False
     return True

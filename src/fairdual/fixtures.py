@@ -28,7 +28,6 @@ from .model import (
 )
 from .search import exists_fair, max_nash_welfare
 from .shares import (
-    ShareSpec,
     check_alpha_mms,
     prop_share,
     share_value,
@@ -190,12 +189,13 @@ def _claim_mnw(fixture: Fixture, claim: dict, budget) -> tuple:
 def _claim_share(fixture: Fixture, claim: dict, budget) -> tuple:
     instance, _ = _view(fixture, claim)
     entitlement = claim.get("entitlement")
-    spec = ShareSpec(
-        kind=claim["share"],
-        agent=claim["agent"],
-        entitlement=None if entitlement is None else parse_rational(entitlement),
-    )
-    value = share_value(instance, spec, budget=budget).value
+    value = share_value(
+        instance,
+        claim["share"],
+        claim["agent"],
+        None if entitlement is None else parse_rational(entitlement),
+        budget,
+    ).value
     dual = "dual " if claim["kind"] == "dual_share" else ""
     description = f"{dual}{claim['share']} share of agent {claim['agent']}"
     return (f"{description} is {claim['expect']}", *_exact(value, claim["expect"]))
@@ -226,7 +226,7 @@ def _claim_alpha_bound_via_prop(fixture: Fixture, claim: dict, budget) -> tuple:
         instance,
         fixture.allocations[claim["allocation"]],
         parse_rational(claim["alpha"]),
-        mms_values=[prop_share(instance, i) for i in range(instance.agents)],
+        [prop_share(instance, i) for i in range(instance.agents)],
     )
     excluded = set(claim.get("exclude", []))
     failing = [agent for agent in report.failing if agent not in excluded]

@@ -13,6 +13,8 @@ and carry no price. A price vector lists one weight per free type, summing
 to one. Each exclusion probe of the anyprice search is one exact linear
 program over goods, solved by `exactlp.maximize`; a chores share is the
 dual goods problem at entitlement 1 - b, certified by the same prices.
+`share_value` dispatches by kind; only the anyprice share takes an
+entitlement b, any rational with 0 <= b <= 1.
 """
 
 from __future__ import annotations
@@ -39,23 +41,6 @@ SHARE_KINDS = ("prop", "mms", "tps", "aps")
 
 # Free-type subsets are enumerated explicitly, so cap their count.
 MAX_FREE_TYPES = 20
-
-
-@dataclass(frozen=True)
-class ShareSpec:
-    """Which share to compute for which agent."""
-
-    kind: str
-    agent: int
-    entitlement: Optional[Fraction] = None
-
-    def __post_init__(self):
-        if self.kind not in SHARE_KINDS:
-            raise ValueError(f"unknown share kind {self.kind!r}")
-        if self.entitlement is not None and not 0 < self.entitlement < 1:
-            raise ValueError("entitlement must lie strictly between 0 and 1")
-        if self.entitlement is not None and self.kind != "aps":
-            raise ValueError("entitlement applies to the anyprice share only")
 
 
 @dataclass(frozen=True)
@@ -162,7 +147,7 @@ def verify_mms_lower_bound(
 
 @dataclass(frozen=True)
 class AlphaMMSReport:
-    """Per-agent comparison of own-bundle value against alpha * maximin."""
+    """Per-agent comparison of own-bundle value against alpha * share."""
 
     fair: bool
     alpha: Fraction
@@ -175,23 +160,17 @@ def check_alpha_mms(
     instance: Instance,
     allocation: Allocation,
     alpha: Fraction,
-    mms_values: Optional[Sequence] = None,
-    budget: Optional[int] = None,
+    shares: Sequence,
 ) -> AlphaMMSReport:
-    """Does every agent get at least alpha times their maximin share?
+    """Does every agent get at least alpha times their share?
 
-    Pass mms_values (one per agent) to skip the maximin computation,
-    e.g. on fixtures whose shares are certified by witness partitions.
+    `shares` holds one value per agent: maximin values, or any share the
+    caller has certified, such as witness-partition bounds or PROP.
     """
     require_valid(instance, allocation)
-    if mms_values is None:
-        shares = tuple(
-            mms_share(instance, i, budget=budget).value for i in range(instance.agents)
-        )
-    else:
-        shares = tuple(Fraction(v) for v in mms_values)
-        if len(shares) != instance.agents:
-            raise ValueError("one maximin value per agent required")
+    shares = tuple(Fraction(v) for v in shares)
+    if len(shares) != instance.agents:
+        raise ValueError("one share value per agent required")
     ratios = []
     failing = []
     for i in range(instance.agents):
@@ -301,7 +280,7 @@ def _best_within_budget(values, weights, b):
 def aps_share(
     instance: Instance, agent: int, entitlement: Optional[Fraction] = None
 ) -> ShareValue:
-    """Anyprice share at the given entitlement (default 1/n).
+    """Anyprice share at entitlement b, 0 <= b <= 1 (default 1/n).
 
     Goods: the best bundle value the agent can afford no matter how the
     adversary prices the free types, i.e. the largest bundle-value
@@ -378,13 +357,21 @@ def aps_share(
 
 
 def share_value(
-    instance: Instance, spec: ShareSpec, budget: Optional[int] = None
+    instance: Instance,
+    kind: str,
+    agent: int,
+    entitlement: Optional[Fraction] = None,
+    budget: Optional[int] = None,
 ) -> ShareValue:
-    """Dispatch a ShareSpec to the right computation."""
-    if spec.kind == "prop":
-        return ShareValue(value=prop_share(instance, spec.agent))
-    if spec.kind == "mms":
-        return mms_share(instance, spec.agent, budget=budget)
-    if spec.kind == "tps":
-        return tps_share(instance, spec.agent)
-    return aps_share(instance, spec.agent, spec.entitlement)
+    """The `kind` share of one agent; an entitlement applies to aps only."""
+    if kind not in SHARE_KINDS:
+        raise ValueError(f"unknown share kind {kind!r}")
+    if entitlement is not None and kind != "aps":
+        raise ValueError("entitlement applies to the anyprice share only")
+    if kind == "prop":
+        return ShareValue(value=prop_share(instance, agent))
+    if kind == "mms":
+        return mms_share(instance, agent, budget=budget)
+    if kind == "tps":
+        return tps_share(instance, agent)
+    return aps_share(instance, agent, entitlement)

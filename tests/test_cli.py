@@ -118,25 +118,20 @@ def test_exists_witness_and_count(doubled_types, capsys):
     assert payload["witness"]["bundles"]
 
 
-def test_exists_respects_env_cap(doubled_types, capsys, monkeypatch):
-    monkeypatch.setenv("FAIRDUAL_ENUM_CAP", "10")
-    code = main(["exists", "--instance", doubled_types, "--notion", "efx"])
+def test_exists_respects_the_budget_flag(doubled_types, capsys):
+    code = main(
+        ["exists", "--instance", doubled_types, "--notion", "efx", "--budget", "10"]
+    )
     assert code == 2
     assert "no fair allocation within budget 10" in capsys.readouterr().err
-    monkeypatch.setenv("FAIRDUAL_ENUM_CAP", "not-a-number")
-    code = main(["exists", "--instance", doubled_types, "--notion", "efx"])
-    assert code == 2
-    assert "FAIRDUAL_ENUM_CAP must be an integer" in capsys.readouterr().err
 
 
-def test_explicit_budget_flag_beats_env(doubled_types, monkeypatch, capsys):
+def test_the_environment_sets_no_budget(doubled_types, monkeypatch, capsys):
+    """`--budget` is the only budget setting; a leftover variable changes nothing."""
     monkeypatch.setenv("FAIRDUAL_ENUM_CAP", "10")
-    code = main(
-        ["exists", "--instance", doubled_types, "--notion", "efx",
-         "--budget", "81"]
-    )
-    capsys.readouterr()
+    code = main(["exists", "--instance", doubled_types, "--notion", "efx"])
     assert code == 1
+    assert "81 of 81 checked" in capsys.readouterr().out
 
 
 def test_dualize_round_trip(doubled_types, witness, tmp_path, capsys):
@@ -206,6 +201,17 @@ def test_shares_rejects_an_agent_out_of_range(doubled_types, flags, capsys):
     assert captured.out == ""
     message = f"agent {flags[3]} out of range: the instance has agents 0..2"
     assert captured.err == f"error: {message}\n"
+
+
+def test_shares_refuses_an_entitlement_past_one(doubled_types, capsys):
+    code = main(
+        ["shares", "--instance", doubled_types, "--share", "aps", "--agent", "0",
+         "--entitlement", "3/2"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "entitlement must lie in [0, 1]" in captured.err
 
 
 def test_shares_needs_agent_or_all(doubled_types, capsys):
@@ -582,14 +588,19 @@ def test_cli_import_does_not_load_sympy():
     assert _exit_code_after_cli_import("'sympy' in sys.modules") == 0
 
 
-def test_package_imports_the_standard_library_only():
+def _package_modules():
+    """(file name, parsed tree) of every module of the fairdual package."""
     package = os.path.dirname(os.path.abspath(cli.__file__))
-    allowed = sys.stdlib_module_names | {"fairdual"}
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(package, name), encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), filename=name)
+            yield name, ast.parse(handle.read(), filename=name)
+
+
+def test_package_imports_the_standard_library_only():
+    allowed = sys.stdlib_module_names | {"fairdual"}
+    for name, tree in _package_modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -603,12 +614,7 @@ def test_package_imports_the_standard_library_only():
 
 def test_every_module_level_import_is_used():
     """A name a module imports at its top level must be read somewhere in that module."""
-    package = os.path.dirname(os.path.abspath(cli.__file__))
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), filename=name)
+    for name, tree in _package_modules():
         imported = set()
         for node in tree.body:
             if isinstance(node, ast.Import):
@@ -617,6 +623,20 @@ def test_every_module_level_import_is_used():
                 imported |= {a.asname or a.name for a in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not imported - used, (name, sorted(imported - used))
+
+
+def test_no_module_imports_os_or_reads_the_environment():
+    """Options come from arguments only, so nothing outside the command line changes a verdict."""
+    for name, tree in _package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert "os" not in {a.name.split(".")[0] for a in node.names}, name
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "os", name
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in ("environ", "getenv", "environb"), name
+            elif isinstance(node, ast.Name):
+                assert node.id not in ("environ", "getenv", "environb"), name
 
 
 def test_cli_import_does_not_load_multiprocessing():

@@ -247,12 +247,10 @@ def transcript(tmp: Path) -> str:
     return "\n".join(lines)
 
 
-def test_cli_transcript_is_unchanged(tmp_path, monkeypatch):
-    monkeypatch.delenv("FAIRDUAL_ENUM_CAP", raising=False)
+def test_cli_transcript_is_unchanged(tmp_path):
     assert transcript(tmp_path) == TRANSCRIPT.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
-    os.environ.pop("FAIRDUAL_ENUM_CAP", None)
     with tempfile.TemporaryDirectory() as tmp:
         sys.stdout.write(transcript(Path(tmp)))

@@ -204,9 +204,18 @@ def share_duality_cases(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(share_duality_cases(), st.sampled_from([None, Fraction(2, 5), Fraction(3, 7)]))
+@given(
+    share_duality_cases(),
+    st.sampled_from([None, Fraction(0), Fraction(2, 5), Fraction(3, 7), Fraction(1)]),
+)
+@example(
+    Instance(agents=1, types=(ItemType("t0", 1),), values=((Fraction(3),),)), Fraction(1)
+)
 def test_share_duality_holds_for_every_linear_share(instance, entitlement):
-    """PROP, MMS and APS (at b against 1 - b) shift by the typeset value, goods and chores."""
+    """PROP, MMS and APS (at b against 1 - b) shift by the typeset value, goods and chores.
+
+    Entitlements 0 and 1 included: a one-agent dual holds no types, and its
+    anyprice share at 1 - 1 = 0 is 0."""
     assert check_share_duality(instance, "prop")
     assert check_share_duality(instance, "mms")
     assert check_share_duality(instance, "aps", entitlement=entitlement)

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from fairdual import fixtures
 from fairdual.fixtures import (
     fixture_ids,
     load_fixture,
@@ -52,6 +53,32 @@ def test_replicate_all_covers_corpus():
     assert set(r.fixture for r in by_fixture) == set(fixture_ids())
     assert all(r.passed for r in by_fixture)
     assert len(by_fixture) == 50
+
+
+# Claim kind -> every key its evaluator reads.
+CLAIM_KEYS = {
+    "is_fair": {"kind", "allocation", "notion", "expect", "witnesses"},
+    "dual_is_fair": {"kind", "allocation", "notion", "expect", "witnesses"},
+    "exists": {"kind", "notion", "expect", "checked"},
+    "dual_allocation": {"kind", "allocation", "expect"},
+    "cancel_cycle": {"kind", "allocation", "cycle", "expect", "improves"},
+    "mnw": {"kind", "expect", "welfare"},
+    "share": {"kind", "share", "agent", "entitlement", "expect"},
+    "dual_share": {"kind", "share", "agent", "entitlement", "expect"},
+    "mms_lower_bound": {"kind", "witness", "agent", "expect"},
+    "value_ratio": {"kind", "agent", "allocation", "share", "expect"},
+    "alpha_bound_via_prop": {"kind", "allocation", "alpha", "exclude"},
+    "aps_entitlement_duality": {"kind", "entitlement", "expect"},
+}
+
+
+def test_every_claim_carries_only_keys_its_evaluator_reads():
+    """A key no evaluator reads would look like part of the claim while checking nothing."""
+    assert set(CLAIM_KEYS) == set(fixtures._CLAIM_EVALUATORS)
+    for fixture_id in fixture_ids():
+        for claim in load_fixture(fixture_id).claims:
+            stray = set(claim) - CLAIM_KEYS[claim["kind"]]
+            assert not stray, (fixture_id, claim["kind"], sorted(stray))
 
 
 def _shifted(value) -> str:

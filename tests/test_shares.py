@@ -33,7 +33,6 @@ from fairdual.randgen import random_instance
 from fairdual.search import plan_total
 from fairdual.shares import (
     PriceVector,
-    ShareSpec,
     aps_share,
     check_alpha_mms,
     forced_types,
@@ -202,16 +201,17 @@ def test_verify_mms_lower_bound_uses_witness_minimum():
 def test_check_alpha_mms_report():
     instance = section_instance()
     allocation = Allocation.of(["t1", "t2", "t4"], ["t3", "t4"], ["t1", "t2", "t3"])
-    report = check_alpha_mms(instance, allocation, Fraction(1, 2))
+    maximin = [mms_share(instance, i).value for i in range(instance.agents)]
+    report = check_alpha_mms(instance, allocation, Fraction(1, 2), maximin)
     assert report.fair
     assert report.shares == (Fraction(6),) * 3
     assert report.ratios == (Fraction(2), Fraction(2), Fraction(1))
-    strict = check_alpha_mms(instance, allocation, Fraction(3, 2))
+    strict = check_alpha_mms(instance, allocation, Fraction(3, 2), maximin)
     assert not strict.fair and strict.failing == (2,)
-    supplied = check_alpha_mms(
-        instance, allocation, Fraction(1, 2), mms_values=(6, 6, 6)
-    )
+    supplied = check_alpha_mms(instance, allocation, Fraction(1, 2), (6, 6, 6))
     assert supplied.shares == report.shares
+    with pytest.raises(ValueError, match="one share value per agent required"):
+        check_alpha_mms(instance, allocation, Fraction(1, 2), (6, 6))
 
 
 def test_tps_trio_is_two():
@@ -397,18 +397,25 @@ def test_per_agent_shares_refuse_agents_out_of_range(agent):
             call()
     for kind in ("prop", "mms", "tps", "aps"):
         with pytest.raises(InstanceError, match=message):
-            share_value(instance, ShareSpec(kind, agent))
+            share_value(instance, kind, agent)
 
 
 def test_share_value_dispatch():
     instance = section_instance()
-    assert share_value(instance, ShareSpec("prop", 0)).value == 10
-    assert share_value(instance, ShareSpec("mms", 0)).value == 6
-    assert share_value(instance, ShareSpec("tps", 0)).value == 10
-    aps = share_value(
-        instance, ShareSpec("aps", 0, entitlement=Fraction(1, 3))
-    )
+    assert share_value(instance, "prop", 0).value == 10
+    assert share_value(instance, "mms", 0).value == 6
+    assert share_value(instance, "tps", 0).value == 10
+    aps = share_value(instance, "aps", 0, entitlement=Fraction(1, 3))
     assert aps.value <= 10
+
+
+def test_share_value_refuses_unknown_kinds_and_stray_entitlements():
+    instance = section_instance()
+    with pytest.raises(ValueError, match="unknown share kind 'ef'"):
+        share_value(instance, "ef", 0)
+    for kind in ("prop", "mms", "tps"):
+        with pytest.raises(ValueError, match="entitlement applies to the anyprice share only"):
+            share_value(instance, kind, 0, entitlement=Fraction(1, 3))
 
 
 def formerly_failing_instance():
@@ -519,7 +526,7 @@ def test_aps_search_matches_the_reference(instance, data):
     certificate prices; chores prices may be another optimal vertex, so
     they must pass the reference's own chores rule."""
     agent = data.draw(st.integers(0, instance.agents - 1))
-    for entitlement in (None, Fraction(1, 3), Fraction(2, 3)):
+    for entitlement in (None, Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)):
         share = aps_share(instance, agent, entitlement)
         reference = reference_aps_share(instance, agent, entitlement)
         if instance.orientation() == "goods":
@@ -551,7 +558,7 @@ def mixed_scale_instances(draw):
 def test_aps_on_scaled_integer_rows_matches_the_reference(instance, data):
     """Entitlements 2/5 and 3/7 have denominators the prices need not share."""
     agent = data.draw(st.integers(0, instance.agents - 1))
-    for entitlement in (None, Fraction(2, 5), Fraction(3, 7)):
+    for entitlement in (None, Fraction(0), Fraction(2, 5), Fraction(3, 7), Fraction(1)):
         share = aps_share(instance, agent, entitlement)
         reference = reference_aps_share(instance, agent, entitlement)
         assert share.value == reference.value
