@@ -226,7 +226,8 @@ def is_fair(
 
     The instance must be sign-pure and match the criterion's orientation
     (an all-zero instance matches both). Witnesses come out in
-    lexicographic (envious, envied) order.
+    lexicographic (envious, envied) order. The walks stop at the first
+    failing pair instead, in their own loop (`search._first_unfair_pair`).
     """
     require_valid(instance, allocation)
     require_orientation(instance, criterion)
@@ -243,33 +244,21 @@ def is_fair(
     )
 
 
-@dataclass(frozen=True)
-class EnvyGraph:
-    """Directed envy edges: i -> j when i values j's bundle strictly more."""
+def envy_graph(instance: Instance, allocation: Allocation) -> frozenset:
+    """Envy edges of a valid allocation: (i, j) when i values j's bundle above its own.
 
-    agents: int
-    edges: frozenset
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
-
-
-def envy_graph(instance: Instance, allocation: Allocation) -> EnvyGraph:
-    """Build the envy graph of a valid allocation (any sign pattern).
-
-    The edges are the pairs the plain goods EF test rejects on the signed
-    kernel rows: there it compares the agent's own value with the other's.
+    They are the pairs the plain goods EF test rejects on the signed kernel
+    rows (any sign pattern), where it compares the own value with the other's.
     """
     require_valid(instance, allocation)
     ef = ComparisonCriterion("ef")
     masks = _masks(instance, allocation.bundles)
-    edges = frozenset(
+    return frozenset(
         (i, j)
         for i, row in enumerate(instance.kernel.rows)
         for j, mask in enumerate(masks)
         if i != j and not criterion_eval(ef, row, masks[i], mask)
     )
-    return EnvyGraph(instance.agents, edges)
 
 
 def cancel_envy_cycle(
@@ -285,10 +274,10 @@ def cancel_envy_cycle(
         return allocation
     if len(set(cycle)) != len(cycle):
         raise NotACycleError(f"agents repeat in {cycle}")
-    graph = envy_graph(instance, allocation)
+    edges = envy_graph(instance, allocation)
     bundles = list(allocation.bundles)
     for agent, nxt in zip(cycle, cycle[1:] + cycle[:1]):
-        if not graph.has_edge(agent, nxt):
+        if (agent, nxt) not in edges:
             raise NotACycleError(f"agent {agent} does not envy agent {nxt}")
         bundles[agent] = allocation.bundles[nxt]
     return Allocation(tuple(bundles))

@@ -1,4 +1,4 @@
-"""Goods/chores duality transform and the checks built on it.
+"""Goods/chores duality transform and the envy check built on it.
 
 Dualizing negates every value and complements every copy count: a type
 held by k of the n agents is, in the dual, held by the other n - k. A type
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .criteria import ComparisonCriterion, is_fair
@@ -73,7 +72,7 @@ def dualize(
     `reinsert` takes the `dropped` record of a previous dualization; each
     entry reappears at its recorded position with a copy per agent and its
     recorded values, so `dualize(dualize(inst).instance, reinsert=...)`
-    round-trips.
+    round-trips. Entries go in by ascending position; one past the end is refused.
     """
     if allocation is not None:
         require_valid(instance, allocation)
@@ -104,10 +103,14 @@ def dualize(
     rows = [[-row[pos] for pos in keep] for row in instance.values]
     if reinsert:
         for record in sorted(reinsert, key=lambda r: r.position):
-            at = min(record.position, len(types))
-            types.insert(at, ItemType(record.item.name, n))
+            if record.position > len(types):
+                raise InstanceError(
+                    f"reinserted type {record.item.name!r} has position "
+                    f"{record.position} past the end of {len(types)} types"
+                )
+            types.insert(record.position, ItemType(record.item.name, n))
             for row, value in zip(rows, record.values):
-                row.insert(at, value)
+                row.insert(record.position, value)
         dual_instance = Instance(agents=n, types=tuple(types), values=tuple(map(tuple, rows)))
     else:
         tags = instance.type_tags
@@ -150,32 +153,3 @@ def check_envy_duality(
     dual_fair = is_fair(dual.instance, dual.allocation, mirrored).fair
     return primal_fair == dual_fair
 
-
-def check_share_duality(
-    instance: Instance,
-    share: str,
-    budget: Optional[int] = None,
-    entitlement: Optional[Fraction] = None,
-) -> bool:
-    """Proportional, maximin and anyprice shares shift by the typeset value under duality.
-
-    For every agent i: share(instance, i) equals share(dual, i) plus i's
-    typeset value. The anyprice share at entitlement b (default 1/n) is
-    compared with the dual's at 1 - b. Other shares do not obey a linear
-    shift and are rejected.
-    """
-    from .shares import share_value
-
-    if share not in ("prop", "mms", "aps"):
-        raise ValueError(f"no linear duality shift for share {share!r}")
-    dual_entitlement = None
-    if share == "aps":
-        b = Fraction(1, instance.agents) if entitlement is None else Fraction(entitlement)
-        dual_entitlement = 1 - b
-    dual = dualize(instance).instance
-    for i in range(instance.agents):
-        primal = share_value(instance, share, i, entitlement, budget).value
-        mirrored = share_value(dual, share, i, dual_entitlement, budget).value
-        if primal != mirrored + instance.typeset_value(i):
-            return False
-    return True

@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Optional
 
 from .criteria import cancel_envy_cycle, criterion_for, is_fair
-from .duality import check_share_duality, dualize
+from .duality import dualize
 from .model import (
     Allocation,
     FairdualError,
@@ -29,6 +29,7 @@ from .model import (
 from .search import exists_fair, max_nash_welfare
 from .shares import (
     check_alpha_mms,
+    check_share_duality,
     prop_share,
     share_value,
     verify_mms_lower_bound,
@@ -276,10 +277,3 @@ def replicate(fixture: Fixture, budget: Optional[int] = None) -> tuple:
         results.append(ClaimResult(fixture.id, *evaluator(fixture, claim, budget)))
     return tuple(results)
 
-
-def replicate_all(budget: Optional[int] = None) -> tuple:
-    """Evaluate the whole corpus; results keep fixture order within each id."""
-    results = []
-    for fixture_id in fixture_ids():
-        results.extend(replicate(load_fixture(fixture_id), budget=budget))
-    return tuple(results)

@@ -450,10 +450,6 @@ def allocation_from_json(data) -> Allocation:
     return Allocation(tuple(bundles))
 
 
-def allocation_to_json(allocation: Allocation, instance: Optional[Instance] = None) -> dict:
-    """Serialize an Allocation, listing each bundle in a stable order.
-
-    With an instance, names follow its type order; otherwise alphabetical.
-    """
-    key = None if instance is None else instance.position
-    return {"bundles": [sorted(b, key=key) for b in allocation.bundles]}
+def allocation_to_json(allocation: Allocation, instance: Instance) -> dict:
+    """Serialize an Allocation, listing each bundle's names in the instance's type order."""
+    return {"bundles": [sorted(b, key=instance.position) for b in allocation.bundles]}

@@ -29,24 +29,20 @@ def random_instance(
     single_copy: bool = False,
     max_abs_value: int = 9,
 ) -> Instance:
-    """Small instance with integer values; orientation goods, chores, or mixed."""
-    if orientation not in ("goods", "chores", "mixed"):
+    """Small instance with integer values; orientation goods or chores."""
+    if orientation not in ("goods", "chores"):
         raise ValueError(f"unknown orientation {orientation!r}")
+    sign = 1 if orientation == "goods" else -1
     agents = rng.randint(2, max(2, max_agents))
     n_types = rng.randint(1, max_types)
     types = []
-    signs = []
     for pos in range(n_types):
         copies = 1 if single_copy else rng.randint(1, agents)
         types.append(ItemType(f"t{pos + 1}", copies))
-        if orientation == "mixed":
-            signs.append(rng.choice((1, -1)))
-        else:
-            signs.append(1 if orientation == "goods" else -1)
     values = tuple(
         tuple(
-            Fraction(signs[pos] * rng.randint(0, max_abs_value))
-            for pos in range(n_types)
+            Fraction(sign * rng.randint(0, max_abs_value))
+            for _ in range(n_types)
         )
         for _ in range(agents)
     )

@@ -161,7 +161,11 @@ class ExistenceCertificate:
 
 
 def _first_unfair_pair(rows, criterion, masks) -> Optional[tuple]:
-    """The first ordered pair (i, j) the criterion rejects, or None if fair."""
+    """The first ordered pair (i, j) the criterion rejects, or None if fair.
+
+    Not shared with `criteria.is_fair`, which lists every failing pair: the
+    walks look `criterion_eval` up here, where `bench/spans.py` counts them.
+    """
     for i, row in enumerate(rows):
         own = masks[i]
         for j, other in enumerate(masks):

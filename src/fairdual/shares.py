@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
+from .duality import dualize
 from .exactlp import maximize
 from .model import (
     Allocation,
@@ -190,9 +191,12 @@ def check_alpha_mms(
 def tps_share(instance: Instance, agent: int) -> ShareValue:
     """Truncated proportional share.
 
-    Goods: the largest z with (1/n) * sum over copies of min(value, z)
-    equal to z, found by scanning how many copies get truncated. Chores:
-    min of the proportional share and the single worst chore.
+    Goods: the largest z with (1/n) * sum over copies c of min(c, z) = z. It is
+    the least bound (total - top j copies) / (n - j) over j = 0 .. min(#copies,
+    n - 1), certified by the first j reaching it: every such z is at most each
+    bound, as sum min(c, z) <= j * z + (total - top j), with equality when j
+    counts the copies above z. Chores: min of the proportional share and the
+    worst chore.
     """
     _require_agent(instance, agent)
     orientation = instance.orientation()
@@ -208,18 +212,12 @@ def tps_share(instance: Instance, agent: int) -> ShareValue:
     )
     n = instance.agents
     total = sum(per_copy, Fraction(0))
-    best: Optional[Fraction] = None
-    best_truncated = None
-    prefix = Fraction(0)
-    for j in range(min(len(per_copy), n - 1) + 1):
-        z = (total - prefix) / (n - j)
-        if (j == 0 or per_copy[j - 1] >= z) and (j == len(per_copy) or z >= per_copy[j]):
-            if best is None or z > best:
-                best, best_truncated = z, j
-        if j < len(per_copy):
-            prefix += per_copy[j]
-    assert best is not None
-    return ShareValue(value=best, certificate=best_truncated)
+    bounds = [
+        (total - top) / (n - j)
+        for j, top in enumerate(accumulate(per_copy[: n - 1], initial=0))
+    ]
+    value = min(bounds)
+    return ShareValue(value=value, certificate=bounds.index(value))
 
 
 def forced_types(instance: Instance) -> frozenset:
@@ -375,3 +373,31 @@ def share_value(
     if kind == "tps":
         return tps_share(instance, agent)
     return aps_share(instance, agent, entitlement)
+
+
+def check_share_duality(
+    instance: Instance,
+    share: str,
+    budget: Optional[int] = None,
+    entitlement: Optional[Fraction] = None,
+) -> bool:
+    """Proportional, maximin and anyprice shares shift by the typeset value under duality.
+
+    For every agent i: share(instance, i) equals share(dual, i) plus i's
+    typeset value. The anyprice share at entitlement b (default 1/n) is
+    compared with the dual's at 1 - b. Other shares do not obey a linear
+    shift and are rejected.
+    """
+    if share not in ("prop", "mms", "aps"):
+        raise ValueError(f"no linear duality shift for share {share!r}")
+    dual_entitlement = None
+    if share == "aps":
+        b = Fraction(1, instance.agents) if entitlement is None else Fraction(entitlement)
+        dual_entitlement = 1 - b
+    dual = dualize(instance).instance
+    for i in range(instance.agents):
+        primal = share_value(instance, share, i, entitlement, budget).value
+        mirrored = share_value(dual, share, i, dual_entitlement, budget).value
+        if primal != mirrored + instance.typeset_value(i):
+            return False
+    return True

@@ -136,5 +136,5 @@ def corrupted_encodings():
     """A valid instance or allocation encoding with one value replaced."""
     return corrupted(
         json_instances().map(instance_to_json)
-        | json_allocations().map(lambda case: allocation_to_json(case[1]))
+        | json_allocations().map(lambda case: allocation_to_json(case[1], case[0]))
     )

@@ -17,7 +17,7 @@ from fairdual.criteria import (
     criterion_for,
     is_fair,
 )
-from fairdual.duality import check_envy_duality, check_share_duality, dualize
+from fairdual.duality import check_envy_duality, dualize
 from fairdual.fixtures import fixture_ids, load_fixture
 from fairdual.leveled import solve_leveled_efxwc
 from fairdual.model import Allocation, Instance, ItemType, bundle
@@ -29,6 +29,7 @@ from fairdual.search import (
 )
 from fairdual.shares import (
     aps_share,
+    check_share_duality,
     prop_share,
     tps_share,
     verify_mms_lower_bound,

@@ -625,6 +625,33 @@ def test_every_module_level_import_is_used():
         assert not imported - used, (name, sorted(imported - used))
 
 
+def test_imports_sit_at_module_level_and_form_no_cycle():
+    """No function body imports, so the module-level graph shows every dependency.
+
+    A deferred import is how a cycle between modules hides; the graph of
+    package-relative imports must also peel down to nothing, leaves first.
+    """
+    graph = {}
+    for name, tree in _package_modules():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
+                        name, node.lineno
+                    )
+        graph[name[: -len(".py")]] = {
+            module
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for module in ([node.module] if node.module else [a.name for a in node.names])
+        }
+    while graph:
+        leaves = [m for m, deps in graph.items() if not deps & graph.keys()]
+        assert leaves, f"import cycle among {sorted(graph)}"
+        for module in leaves:
+            del graph[module]
+
+
 def test_no_module_imports_os_or_reads_the_environment():
     """Options come from arguments only, so nothing outside the command line changes a verdict."""
     for name, tree in _package_modules():

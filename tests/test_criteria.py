@@ -176,12 +176,12 @@ def test_envy_graph_and_cycle_cancel():
         ),
     )
     allocation = Allocation.of(["a"], ["b"])
-    graph = envy_graph(instance, allocation)
-    assert graph.has_edge(0, 1) and graph.has_edge(1, 0)
+    edges = envy_graph(instance, allocation)
+    assert (0, 1) in edges and (1, 0) in edges
     swapped = cancel_envy_cycle(instance, allocation, (0, 1))
     assert swapped.bundles[0] == bundle("b")
     assert swapped.bundles[1] == bundle("a")
-    assert not envy_graph(instance, swapped).edges
+    assert not envy_graph(instance, swapped)
 
 
 @settings(max_examples=150, deadline=None)
@@ -207,7 +207,7 @@ def test_envy_graph_edges_are_strict_value_gaps(case):
         for j in range(instance.agents)
         if instance.bundle_value(i, bundles[i]) < instance.bundle_value(i, bundles[j])
     }
-    assert envy_graph(instance, allocation).edges == expected
+    assert envy_graph(instance, allocation) == expected
 
 
 def test_cancel_requires_actual_cycle():

@@ -9,12 +9,12 @@ from fairdual.criteria import BASES, ComparisonCriterion, criterion_for, is_fair
 from fairdual.duality import (
     DroppedType,
     check_envy_duality,
-    check_share_duality,
     complement_criterion,
     dualize,
 )
 from fairdual.model import Allocation, Instance, InstanceError, ItemType, bundle
 from fairdual.randgen import random_instance
+from fairdual.shares import check_share_duality
 from strategies import signed_allocations
 
 
@@ -93,11 +93,28 @@ def test_reinsert_rejects_negative_positions():
     )
     with pytest.raises(InstanceError, match="'z' has negative position -1"):
         dualize(instance, reinsert=(negative,))
-    past_end = DroppedType(
-        position=9, item=ItemType("z", 2), values=(Fraction(5), Fraction(5))
+
+
+def test_reinsert_rejects_positions_past_the_end():
+    """A record lands at its own position; one past the end is refused, not appended."""
+    instance = Instance(
+        agents=2,
+        types=(ItemType("a", 1),),
+        values=((Fraction(1),), (Fraction(2),)),
     )
-    dual = dualize(instance, reinsert=(past_end,)).instance
-    assert dual.type_names() == ("a", "b", "c", "z")
+
+    def record(name, position):
+        return DroppedType(position, ItemType(name, 2), (Fraction(5), Fraction(5)))
+
+    with pytest.raises(
+        InstanceError, match="^reinserted type 'z' has position 7 past the end of 1 types$"
+    ):
+        dualize(instance, reinsert=(record("z", 7),))
+    # Records go in by ascending position, so the second may use the slot the first made.
+    dual = dualize(instance, reinsert=(record("y", 2), record("z", 1))).instance
+    assert dual.type_names() == ("a", "z", "y")
+    with pytest.raises(InstanceError, match="'y' has position 3 past the end of 2 types"):
+        dualize(instance, reinsert=(record("y", 3), record("z", 1)))
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,7 +7,6 @@ from fairdual.fixtures import (
     fixture_ids,
     load_fixture,
     replicate,
-    replicate_all,
 )
 from fairdual.model import FairdualError, format_rational, parse_rational
 
@@ -49,7 +48,7 @@ def test_every_fixture_replicates():
 
 
 def test_replicate_all_covers_corpus():
-    by_fixture = replicate_all()
+    by_fixture = [r for i in fixture_ids() for r in replicate(load_fixture(i))]
     assert set(r.fixture for r in by_fixture) == set(fixture_ids())
     assert all(r.passed for r in by_fixture)
     assert len(by_fixture) == 50

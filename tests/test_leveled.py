@@ -10,7 +10,7 @@ from fairdual.leveled import (
     round_robin_init,
     solve_leveled_efxwc,
 )
-from fairdual.model import Allocation, Instance, ItemType, NotLeveledError
+from fairdual.model import Allocation, Instance, InstanceError, ItemType, NotLeveledError
 from fairdual.randgen import random_leveled_instance
 
 
@@ -59,6 +59,24 @@ def test_solver_sweep_certifies_and_respects_bound():
         result = solve_leveled_efxwc(instance)
         assert is_fair(instance, result.allocation, criterion).fair
         assert len(result.trace) <= instance.agents * len(instance.types) ** 2
+
+
+@pytest.mark.parametrize(
+    "bundles",
+    [
+        ([], []),  # hands out nothing
+        (["a", "b", "c"], ["a", "b", "c"]),  # one-copy types held twice
+        (["a", "c"], ["z", "c"]),  # unknown type name
+    ],
+)
+def test_potential_refuses_an_invalid_allocation(bundles):
+    instance = Instance(
+        agents=2,
+        types=(ItemType("a", 1), ItemType("b", 1), ItemType("c", 2)),
+        values=((Fraction(1),) * 3,) * 2,
+    )
+    with pytest.raises(InstanceError):
+        potential(instance, Allocation.of(*bundles))
 
 
 def test_swap_potentials_strictly_increase():

@@ -14,10 +14,11 @@ from hypothesis import assume, example, given, settings
 from aps_reference import reference_aps_share, reference_price_value
 from hypothesis import strategies as st
 from plan_reference import plan_choices
+from tps_reference import reference_tps
 
 from fairdual import shares
 from fairdual.criteria import OrientationError
-from fairdual.duality import check_share_duality, dualize
+from fairdual.duality import dualize
 from fairdual.fixtures import load_fixture
 from fairdual.model import (
     Allocation,
@@ -35,6 +36,7 @@ from fairdual.shares import (
     PriceVector,
     aps_share,
     check_alpha_mms,
+    check_share_duality,
     forced_types,
     mms_share,
     prop_share,
@@ -275,6 +277,49 @@ def test_tps_needs_sign_purity():
     )
     with pytest.raises(OrientationError):
         tps_share(mixed, 0)
+
+
+def _copies_instance(agents, *columns):
+    """One type per (copies, value) column, worth the same to every agent."""
+    return Instance(
+        agents=agents,
+        types=tuple(ItemType(f"t{k}", c) for k, (c, _) in enumerate(columns)),
+        values=(tuple(Fraction(v) for _, v in columns),) * agents,
+    )
+
+
+@st.composite
+def goods_instances(draw):
+    """1-5 agents, 0-6 types with copies 1..n; small values, so zeros and repeats."""
+    n = draw(st.integers(1, 5))
+    copies = draw(st.lists(st.integers(1, n), max_size=6))
+    return Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
+        values=tuple(
+            tuple(
+                Fraction(draw(st.integers(0, 4)), draw(st.integers(1, 3)))
+                for _ in copies
+            )
+            for _ in range(n)
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(goods_instances())
+# Bounds (total - top j) / (n - j) that tie at the minimum: 4/2 = 2/1 on
+# copies 2, 2; 6/3 = 4/2 = 2/1 on copies 2, 2, 2; 6/2 = 3/1 after 15/3 on
+# copies 9, 3, 3; and 0/2 = 0/1 after 6/3 on copies 6, 0, 0.
+@example(_copies_instance(2, (2, 2)))
+@example(_copies_instance(3, (1, 2), (2, 2)))
+@example(_copies_instance(3, (1, 9), (2, 3)))
+@example(_copies_instance(3, (1, 6), (2, 0)))
+def test_tps_matches_the_bracket_scan(instance):
+    """The closed-form minimum gives the scan's value and certificate for every agent."""
+    for agent in range(instance.agents):
+        result = tps_share(instance, agent)
+        assert (result.value, result.certificate) == reference_tps(instance, agent)
 
 
 def test_forced_types_detection():
