@@ -14,8 +14,9 @@ The two modifiers commute, so applying strip-then-complement is exact.
 
 Pair tests run on integers. They read `Instance.kernel`, compiled once per
 instance: each agent's row times the LCM of its denominators (a positive
-factor, so no comparison changes). `_rows` negates it for chores, and a
-bundle is a mask with bit p set for the type at position p.
+factor, so no comparison changes). Chores tests read it negated, as
+`Instance.chores_rows`, also built once per instance; a bundle is a mask
+with bit p set for the type at position p.
 `criterion_eval` strips with `a & ~b` / `b & ~a`, swaps the sides for
 chores and decides a goods base on the row's entries at the bits. It walks
 each side's bits once, summing them and, on the other side, tracking the
@@ -99,8 +100,7 @@ def criterion_for(instance: Instance, notion: str) -> ComparisonCriterion:
 
 def _rows(instance: Instance, orientation: str = "goods"):
     """Per agent, the kernel row, negated for chores."""
-    rows = instance.kernel.rows
-    return [[-v for v in row] for row in rows] if orientation == "chores" else rows
+    return instance.chores_rows if orientation == "chores" else instance.kernel.rows
 
 
 def _entries(row, mask: int) -> list:

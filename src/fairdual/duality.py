@@ -11,9 +11,12 @@ surviving type i does not hold. Fairness transfers between the two views
 for the without-commons criteria, with goods and chores swapped.
 
 Without `reinsert`, the dual is built from the validated primal without
-validating it again: its sign tags are the primal's, swapped, and its
-kernel, when the primal's is compiled, is derived from the primal rows
-(see `_dual_kernel`).
+validating it again: its sign tags are the primal's, swapped. When the
+primal's kernel is compiled, the dual keeps only the kernel and chores rows
+derived from it (see `_dual_rows`) and builds its Fraction values on first
+read; otherwise it negates the primal's values. A dual allocation is
+marked valid for the dual instance, so the checks it meets next skip
+validating it again.
 """
 
 from __future__ import annotations
@@ -45,21 +48,24 @@ class DualResult:
 _SWAPPED_TAG = {"good": "chore", "chore": "good", "zero": "zero"}
 
 
-def _dual_kernel(kernel: Kernel, keep: list) -> Kernel:
-    """The dual's kernel from the primal's: rows negated on the kept columns.
+def _dual_rows(kernel: Kernel, keep: list) -> tuple:
+    """The dual's kernel and chores rows from the primal's kernel.
 
     A primal entry is x = v * S for the row's scale S. The kept values'
     least common denominator is S / g, with g the gcd of S and their
-    kept entries, so dividing each entry exactly by g gives the kernel a
-    validated dual compiles.
+    kept entries, so the kept entries divided exactly by g, signs kept, are
+    the chores rows (the kernel negated) that a validated dual compiles.
     """
-    rows, scales = [], []
+    rows, scales, chores = [], [], []
     for row, scale in zip(*kernel):
         kept = [row[pos] for pos in keep]
         g = math.gcd(scale, *kept)
-        rows.append(tuple(-x // g for x in kept))
+        if g > 1:
+            kept = [x // g for x in kept]
+        chores.append(tuple(kept))
+        rows.append(tuple(-x for x in kept))
         scales.append(scale // g)
-    return Kernel(tuple(rows), tuple(scales))
+    return Kernel(tuple(rows), tuple(scales)), tuple(chores)
 
 
 def dualize(
@@ -93,15 +99,16 @@ def dualize(
                 f"for {n} agents"
             )
 
-    keep = [pos for pos, t in enumerate(instance.types) if t.copies < n]
-    dropped = [
-        DroppedType(position=pos, item=t, values=tuple(row[pos] for row in instance.values))
-        for pos, t in enumerate(instance.types)
-        if t.copies == n
-    ]
-    types = [ItemType(t.name, n - t.copies) for t in instance.types if t.copies < n]
-    rows = [[-row[pos] for pos in keep] for row in instance.values]
+    keep, types, dropped = [], [], []
+    for pos, t in enumerate(instance.types):
+        if t.copies < n:
+            keep.append(pos)
+            types.append(ItemType(t.name, n - t.copies))
+        else:
+            values = tuple(row[pos] for row in instance.values)
+            dropped.append(DroppedType(position=pos, item=t, values=values))
     if reinsert:
+        rows = [[-row[pos] for pos in keep] for row in instance.values]
         for record in sorted(reinsert, key=lambda r: r.position):
             if record.position > len(types):
                 raise InstanceError(
@@ -114,17 +121,22 @@ def dualize(
         dual_instance = Instance(agents=n, types=tuple(types), values=tuple(map(tuple, rows)))
     else:
         tags = instance.type_tags
-        cached = {"type_tags": tuple(_SWAPPED_TAG[tags[pos]] for pos in keep)}
+        preset = {"type_tags": tuple(_SWAPPED_TAG[tags[pos]] for pos in keep)}
         if "kernel" in instance.__dict__:
-            cached["kernel"] = _dual_kernel(instance.kernel, keep)
-        dual_instance = Instance._unvalidated(
-            n, tuple(types), tuple(map(tuple, rows)), **cached
-        )
+            preset["kernel"], preset["chores_rows"] = _dual_rows(instance.kernel, keep)
+        else:
+            preset["values"] = tuple(
+                tuple(-row[pos] for pos in keep) for row in instance.values
+            )
+        dual_instance = Instance._unvalidated(n, tuple(types), **preset)
 
     dual_allocation = None
     if allocation is not None:
         names = frozenset(dual_instance.index)
         dual_allocation = Allocation(tuple(names - held for held in allocation.bundles))
+        # The complement of a valid allocation is valid: a type held by k
+        # agents is held by the other n - k, and a reinserted one by all.
+        object.__setattr__(dual_allocation, "_valid_for", dual_instance)
     return DualResult(
         instance=dual_instance,
         allocation=dual_allocation,

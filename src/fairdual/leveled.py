@@ -124,8 +124,10 @@ def solve_leveled_efxwc(instance: Instance) -> LeveledResult:
     limit = instance.agents * len(instance.types) ** 2
     initial_potential = rank_sum = _rank_sum(ranks, start)
     trace = []
+    pair = None
     while True:
-        pair = _first_unfair_pair(rows, criterion, masks)
+        # After a swap only its two agents changed: resume the scan there.
+        pair = _first_unfair_pair(rows, criterion, masks, changed=pair)
         if pair is None:
             break
         i, j = pair

@@ -186,16 +186,17 @@ class Instance:
                 )
 
     @classmethod
-    def _unvalidated(cls, agents: int, types: tuple, values: tuple, **cached) -> "Instance":
+    def _unvalidated(cls, agents: int, types: tuple, **preset) -> "Instance":
         """An instance whose fields are known valid, skipping `__post_init__`.
 
-        `types` and `values` must already be tuples (rows too). Each keyword
-        presets the cached property of that name. Only `duality.dualize`
-        calls this, on fields derived from a validated instance.
+        `types` must already be a tuple. Each keyword presets the field or
+        cached property of that name: `values` (a tuple of row tuples), or
+        else `kernel`, from which `values` is built on first read. Only
+        `duality.dualize` calls this, on fields derived from a validated
+        instance.
         """
         instance = object.__new__(cls)
-        fields = {"agents": agents, "types": types, "values": values, **cached}
-        for name, value in fields.items():
+        for name, value in {"agents": agents, "types": types, **preset}.items():
             object.__setattr__(instance, name, value)
         return instance
 
@@ -232,6 +233,11 @@ class Instance:
         """The integer rows (signs kept) and their scales, compiled on first use."""
         compiled = [_integer_row(row) for row in self.values]
         return Kernel(tuple(tuple(r) for r, _ in compiled), tuple(s for _, s in compiled))
+
+    @cached_property
+    def chores_rows(self) -> tuple:
+        """The kernel rows negated, as the chores pair tests read them."""
+        return tuple(tuple(-x for x in row) for row in self.kernel.rows)
 
     @property
     def goods_pure(self) -> bool:
@@ -285,6 +291,19 @@ class Instance:
 
     def type_names(self) -> tuple:
         return tuple(t.name for t in self.types)
+
+
+def _values_from_kernel(instance: Instance) -> tuple:
+    """Exact values of an instance built from its kernel alone (a trusted dual)."""
+    rows, scales = instance.kernel
+    return tuple(tuple(Fraction(x, scale) for x in row) for row, scale in zip(rows, scales))
+
+
+# Every other instance holds `values` in its own `__dict__`, which takes
+# precedence over this non-data descriptor; only an instance built without
+# them falls through to it, once.
+Instance.values = cached_property(_values_from_kernel)
+Instance.values.__set_name__(Instance, "values")
 
 
 @dataclass(frozen=True)
@@ -347,12 +366,20 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> tuple:
 
 
 def require_valid(instance: Instance, allocation: Allocation) -> None:
-    """Raise InstanceError when the allocation is invalid."""
+    """Raise InstanceError when the allocation is invalid.
+
+    A pass is remembered on the allocation as the instance it was checked
+    against. Both are immutable, so the same pair, by identity, is not
+    checked again; any other instance, even an equal one, gets a full check.
+    """
+    if getattr(allocation, "_valid_for", None) is instance:
+        return
     problems = validate_allocation(instance, allocation)
     if problems:
         raise InstanceError(
             "; ".join(v.message for v in problems)
         )
+    object.__setattr__(allocation, "_valid_for", instance)
 
 
 def instance_from_json(data, on_notice: Optional[Callable] = None) -> Instance:

@@ -160,17 +160,26 @@ class ExistenceCertificate:
     plan_total: int
 
 
-def _first_unfair_pair(rows, criterion, masks) -> Optional[tuple]:
+def _first_unfair_pair(rows, criterion, masks, changed: Optional[tuple] = None) -> Optional[tuple]:
     """The first ordered pair (i, j) the criterion rejects, or None if fair.
+
+    `changed = (i, j)` resumes a scan whose first failing pair was (i, j)
+    before agents i and j alone changed bundles. Every pair before (i, j)
+    passed then, and only those that involve i or j can fail now, so rows
+    before i other than j test those two columns only; from row i on (and
+    on row j) every pair is tested. The result is the full scan's.
 
     Not shared with `criteria.is_fair`, which lists every failing pair: the
     walks look `criterion_eval` up here, where `bench/spans.py` counts them.
     """
-    for i, row in enumerate(rows):
-        own = masks[i]
-        for j, other in enumerate(masks):
-            if i != j and not criterion_eval(criterion, row, own, other):
-                return i, j
+    for a, row in enumerate(rows):
+        own = masks[a]
+        others = enumerate(masks)
+        if changed is not None and a < changed[0] and a != changed[1]:
+            others = [(b, masks[b]) for b in sorted(changed)]
+        for b, other in others:
+            if a != b and not criterion_eval(criterion, row, own, other):
+                return a, b
     return None
 
 

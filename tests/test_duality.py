@@ -306,3 +306,25 @@ def test_the_dual_equals_the_validated_instance(case):
     restored = dualize(first.instance, reinsert=first.dropped).instance
     assert restored == instance
     assert_as_validated(restored)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dual_cases())
+def test_the_dual_keeps_its_values_in_the_kernel_when_the_primal_is_compiled(case):
+    """A dual of a compiled primal holds no values until they are read, and
+    its preset chores rows are the negated kernel a validated instance
+    compiles. Read, its values are exact: `==` and `hash` agree with the
+    validated instance's."""
+    instance, compiled = case
+    if compiled:
+        instance.kernel
+    dual = dualize(instance).instance
+    assert ("values" in dual.__dict__) != compiled
+    assert ("chores_rows" in dual.__dict__) == compiled
+    chores_rows = dual.chores_rows
+    assert chores_rows is dual.chores_rows
+    validated = Instance(dual.agents, dual.types, dual.values)
+    assert chores_rows == validated.chores_rows
+    assert chores_rows == tuple(tuple(-x for x in row) for row in validated.kernel.rows)
+    assert dual == validated and hash(dual) == hash(validated)
+    assert repr(dual) == repr(validated)

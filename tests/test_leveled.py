@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairdual.criteria import ComparisonCriterion, is_fair
 from fairdual.duality import dualize
@@ -12,6 +14,29 @@ from fairdual.leveled import (
 )
 from fairdual.model import Allocation, Instance, InstanceError, ItemType, NotLeveledError
 from fairdual.randgen import random_leveled_instance
+from leveled_reference import reference_walk
+
+# Grid steps for leveled values: few steps, so values often tie.
+GRID = 4
+
+
+def leveled_instance(copies, steps) -> Instance:
+    """Agent i values type t at 1 + steps[i][t] / (GRID * |T|), which is leveled."""
+    scale = GRID * len(copies)
+    return Instance(
+        agents=len(steps),
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
+        values=tuple(tuple(Fraction(scale + k, scale) for k in row) for row in steps),
+    )
+
+
+@st.composite
+def leveled_instances(draw):
+    n = draw(st.integers(2, 6))
+    copies = draw(st.lists(st.integers(1, n), min_size=1, max_size=7))
+    row = st.lists(st.integers(0, GRID - 1), min_size=len(copies), max_size=len(copies))
+    steps = draw(st.lists(row, min_size=n, max_size=n))
+    return leveled_instance(copies, steps)
 
 
 def test_round_robin_balances_bundle_sizes():
@@ -110,3 +135,19 @@ def test_solved_duals_are_chores_fair():
         if not dual.instance.types:
             continue
         assert is_fair(dual.instance, dual.allocation, criterion).fair
+
+
+@settings(max_examples=200, deadline=None)
+@given(leveled_instances())
+# Swaps (2, 0), then (1, 0): the envied agent sits below the envious one, and
+# the second pair lies before the first, in the rows the resumed scan narrows.
+@example(leveled_instance((2, 1, 1), ((3, 2, 1), (0, 0, 3), (3, 2, 0))))
+def test_the_resumed_walk_matches_the_restarting_reference(instance):
+    """Resuming the pair scan after a swap leaves the walk as it was when
+    every scan restarted at (0, 1): same start, trace, potentials and end."""
+    result = solve_leveled_efxwc(instance)
+    initial, initial_potential, trace, final = reference_walk(instance)
+    assert result.initial.bundles == tuple(initial)
+    assert result.initial_potential == initial_potential
+    assert [(s.envious, s.envied, s.gained, s.lost, s.potential) for s in result.trace] == trace
+    assert result.allocation.bundles == tuple(final)

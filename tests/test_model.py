@@ -250,6 +250,32 @@ def test_every_consumer_reads_the_one_compiled_kernel(monkeypatch):
     assert len(calls) == n
 
 
+def leveled_pipeline_instance() -> Instance:
+    """Three leveled agents; the last of the four types is a full-copy one."""
+    n = 3
+    return Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", (1, 2, 1, n)[k]) for k in range(4)),
+        values=tuple(
+            tuple(Fraction(30 + (i + k) % 3, 30 + k) for k in range(4)) for i in range(n)
+        ),
+    )
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Every (instance, allocation) pair `validate_allocation` checks from now on."""
+    checked = []
+    original = model.validate_allocation
+
+    def counted(instance, allocation):
+        checked.append((instance, allocation))
+        return original(instance, allocation)
+
+    monkeypatch.setattr(model, "validate_allocation", counted)
+    return checked
+
+
 def test_the_leveled_pipeline_compiles_the_primal_kernel_only(monkeypatch):
     """Solver, `is_fair`, `dualize` and the dual's chores `is_fair` on one
     goods instance compile n rows: the dual's kernel is derived from the
@@ -266,13 +292,7 @@ def test_the_leveled_pipeline_compiles_the_primal_kernel_only(monkeypatch):
         if hasattr(module, "_integer_row"):
             monkeypatch.setattr(module, "_integer_row", counted)
     n = 3
-    instance = Instance(
-        agents=n,
-        types=tuple(ItemType(f"t{k}", (1, 2, 1, n)[k]) for k in range(4)),
-        values=tuple(
-            tuple(Fraction(30 + (i + k) % 3, 30 + k) for k in range(4)) for i in range(n)
-        ),
-    )
+    instance = leveled_pipeline_instance()
     allocation = solve_leveled_efxwc(instance).allocation
     assert is_fair(instance, allocation, ComparisonCriterion("efx", "goods", True)).fair
     dual = dualize(instance, allocation)
@@ -282,23 +302,111 @@ def test_the_leveled_pipeline_compiles_the_primal_kernel_only(monkeypatch):
     assert len(calls) == n
 
 
-def test_only_model_and_duality_name_the_unvalidated_constructor():
-    """`Instance._unvalidated` skips validation, so only the dual may use it."""
+def test_the_leveled_pipeline_validates_one_allocation(validations):
+    """On one `c08` operation only the solver's allocation is validated:
+    `dualize` reuses the primal check and marks the dual allocation valid
+    for the dual it built. The dual's values are never built, and reading
+    them gives the primal's kept columns negated, as a validated instance
+    holds them."""
+    instance = leveled_pipeline_instance()
+    allocation = solve_leveled_efxwc(instance).allocation
+    assert is_fair(instance, allocation, ComparisonCriterion("efx", "goods", True)).fair
+    dual = dualize(instance, allocation)
+    chores = ComparisonCriterion("efx", "chores", True)
+    assert is_fair(dual.instance, dual.allocation, chores).fair
+    assert validations == [(instance, allocation)] and validations[0][1] is allocation
+    d = dual.instance
+    assert "values" not in d.__dict__
+    negated = tuple(tuple(-row[k] for k in range(3)) for row in instance.values)
+    assert d.values == negated == Instance(d.agents, d.types, d.values).values
+
+
+def _package_files_naming(identifier: str) -> set:
+    """The package's files that name `identifier` as an attribute, a name, a
+    definition or a string constant."""
     package = os.path.dirname(os.path.abspath(model.__file__))
     users = set()
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as handle:
                 tree = ast.parse(handle.read(), filename=name)
-            # Attributes, names, definitions and string constants alike.
             named = {
                 getattr(node, field, None)
                 for node in ast.walk(tree)
                 for field in ("attr", "id", "name", "value")
             }
-            if "_unvalidated" in named:
+            if identifier in named:
                 users.add(name)
-    assert users == {"model.py", "duality.py"}
+    return users
+
+
+def test_only_model_and_duality_name_the_unvalidated_constructor():
+    """`Instance._unvalidated` skips validation, so only the dual may use it."""
+    assert _package_files_naming("_unvalidated") == {"model.py", "duality.py"}
+
+
+def test_only_model_and_duality_name_the_validity_mark():
+    """An allocation marked valid skips `require_valid`, so only the check
+    itself and the dual's construction may mark one."""
+    assert _package_files_naming("_valid_for") == {"model.py", "duality.py"}
+
+
+def two_type_instance(copies_of_a: int) -> Instance:
+    return Instance(
+        agents=2,
+        types=(ItemType("a", copies_of_a), ItemType("b", 1)),
+        values=((Fraction(1), Fraction(2)),) * 2,
+    )
+
+
+def test_an_allocation_valid_for_one_instance_is_refused_on_another():
+    single, doubled = two_type_instance(1), two_type_instance(2)
+    allocation = Allocation.of(["a"], ["b"])
+    require_valid(single, allocation)
+    message = "type 'a' held by 1 agents, has 2 copies"
+    with pytest.raises(InstanceError, match=message):
+        require_valid(doubled, allocation)
+    with pytest.raises(InstanceError, match=message):
+        is_fair(doubled, allocation, ComparisonCriterion("ef"))
+    with pytest.raises(InstanceError, match=message):
+        dualize(doubled, allocation)
+    # The refusal left the pass on the first instance standing.
+    require_valid(single, allocation)
+
+
+def test_an_equal_but_distinct_instance_gets_a_full_check(validations):
+    first, second = two_type_instance(1), two_type_instance(1)
+    assert first == second and first is not second
+    allocation = Allocation.of(["a"], ["b"])
+    require_valid(first, allocation)
+    require_valid(first, allocation)
+    assert len(validations) == 1
+    require_valid(second, allocation)
+    assert len(validations) == 2 and validations[1][0] is second
+    # The pass remembered is the latest one, so `dualize` checks again on
+    # `first`; the dual allocation it returns is marked for its own dual only.
+    dual = dualize(first, allocation)
+    assert len(validations) == 3 and validations[2][0] is first
+    require_valid(dual.instance, dual.allocation)
+    assert len(validations) == 3
+    validated = Instance(dual.instance.agents, dual.instance.types, dual.instance.values)
+    require_valid(validated, dual.allocation)
+    assert len(validations) == 4 and validations[3][0] is validated
+
+
+def test_the_validity_mark_changes_no_view_of_an_allocation():
+    instance = three_agent_instance()
+    bundles = (["t1", "t2"], ["t1", "t3", "t4"], ["t2", "t3", "t4"])
+    marked, fresh = Allocation.of(*bundles), Allocation.of(*bundles)
+    require_valid(instance, marked)
+    assert "_valid_for" in vars(marked) and "_valid_for" not in vars(fresh)
+    assert marked == fresh
+    assert hash(marked) == hash(fresh)
+    assert repr(marked) == repr(fresh)
+    assert allocation_to_json(marked, instance) == allocation_to_json(fresh, instance)
+    dual = dualize(instance, marked).allocation
+    assert dual == Allocation(dual.bundles)
+    assert repr(dual) == repr(Allocation(dual.bundles))
 
 
 def test_anyprice_shares_compile_no_value_row_beyond_the_kernels(monkeypatch):

@@ -322,6 +322,37 @@ def test_a_failing_pair_skips_its_subtree(monkeypatch):
     assert 0 < len(calls) < 2048
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_resumed_pair_scan_finds_the_full_scans_pair(data):
+    """When (i, j) is the first failing pair and only agents i and j then
+    change bundles, the scan resumed at (i, j) returns the full scan's first
+    failing pair, whatever the rows, masks and criterion."""
+    n, width = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 6))
+    base, without_commons = data.draw(st.sampled_from(BASES)), data.draw(st.booleans())
+    criterion = ComparisonCriterion(base, "goods", without_commons)
+    row = st.lists(st.integers(0, 9), min_size=width, max_size=width)
+    rows = data.draw(st.lists(row, min_size=n, max_size=n))
+    mask = st.integers(0, (1 << width) - 1)
+    masks = data.draw(st.lists(mask, min_size=n, max_size=n))
+    pair = search._first_unfair_pair(rows, criterion, masks)
+    assume(pair is not None)
+    i, j = pair
+    masks[i], masks[j] = data.draw(mask), data.draw(mask)
+    resumed = search._first_unfair_pair(rows, criterion, masks, changed=pair)
+    assert resumed == search._first_unfair_pair(rows, criterion, masks)
+
+
+def test_a_resumed_pair_scan_keeps_lexicographic_order_below_the_envied_agent():
+    """After (2, 0) changes agents 2 and 0, agent 1 envies both; the first
+    failing pair is still (1, 0), the lower column first."""
+    ef, rows = ComparisonCriterion("ef"), [[1, 1]] * 3
+    masks = [0b01, 0b01, 0b00]
+    assert search._first_unfair_pair(rows, ef, masks) == (2, 0)
+    masks[2] = masks[0] = 0b11
+    assert search._first_unfair_pair(rows, ef, masks, changed=(2, 0)) == (1, 0)
+
+
 def l20_instance():
     return load_fixture("eflwc-third-mms-l20").instance
 
