@@ -10,13 +10,14 @@ Allocations dualize to complements: agent i's dual bundle is every
 surviving type i does not hold. Fairness transfers between the two views
 for the without-commons criteria, with goods and chores swapped.
 
-Without `reinsert`, the dual is built from the validated primal without
-validating it again: its sign tags are the primal's, swapped. When the
-primal's kernel is compiled, the dual keeps only the kernel and chores rows
-derived from it (see `_dual_rows`) and builds its Fraction values on first
-read; otherwise it negates the primal's values. A dual allocation is
-marked valid for the dual instance, so the checks it meets next skip
-validating it again.
+Every dual is built from the validated primal without validating it
+again: its sign tags are the primal's, swapped, and it keeps only the
+kernel and chores rows derived from the primal's kernel (see `_dual_rows`),
+building its Fraction values on first read. Reinserted records are caller
+data, so with `reinsert` they go into that dual's values and the result
+goes through the validating constructor. A dual allocation is marked
+valid for the dual instance, so the checks it meets next skip validating
+it again.
 """
 
 from __future__ import annotations
@@ -107,8 +108,14 @@ def dualize(
         else:
             values = tuple(row[pos] for row in instance.values)
             dropped.append(DroppedType(position=pos, item=t, values=values))
+    tags = instance.type_tags
+    kernel, chores_rows = _dual_rows(instance.kernel, keep)
+    swapped = tuple(_SWAPPED_TAG[tags[pos]] for pos in keep)
+    dual_instance = Instance._unvalidated(
+        n, tuple(types), kernel=kernel, chores_rows=chores_rows, type_tags=swapped
+    )
     if reinsert:
-        rows = [[-row[pos] for pos in keep] for row in instance.values]
+        rows = [list(row) for row in dual_instance.values]
         for record in sorted(reinsert, key=lambda r: r.position):
             if record.position > len(types):
                 raise InstanceError(
@@ -119,16 +126,6 @@ def dualize(
             for row, value in zip(rows, record.values):
                 row.insert(record.position, value)
         dual_instance = Instance(agents=n, types=tuple(types), values=tuple(map(tuple, rows)))
-    else:
-        tags = instance.type_tags
-        preset = {"type_tags": tuple(_SWAPPED_TAG[tags[pos]] for pos in keep)}
-        if "kernel" in instance.__dict__:
-            preset["kernel"], preset["chores_rows"] = _dual_rows(instance.kernel, keep)
-        else:
-            preset["values"] = tuple(
-                tuple(-row[pos] for pos in keep) for row in instance.values
-            )
-        dual_instance = Instance._unvalidated(n, tuple(types), **preset)
 
     dual_allocation = None
     if allocation is not None:

@@ -189,9 +189,9 @@ class Instance:
     def _unvalidated(cls, agents: int, types: tuple, **preset) -> "Instance":
         """An instance whose fields are known valid, skipping `__post_init__`.
 
-        `types` must already be a tuple. Each keyword presets the field or
-        cached property of that name: `values` (a tuple of row tuples), or
-        else `kernel`, from which `values` is built on first read. Only
+        `types` must already be a tuple. Each keyword presets the cached
+        property of that name: `kernel`, `chores_rows` and `type_tags`.
+        `values` is built from the kernel on first read. Only
         `duality.dualize` calls this, on fields derived from a validated
         instance.
         """
@@ -299,9 +299,9 @@ def _values_from_kernel(instance: Instance) -> tuple:
     return tuple(tuple(Fraction(x, scale) for x in row) for row, scale in zip(rows, scales))
 
 
-# Every other instance holds `values` in its own `__dict__`, which takes
-# precedence over this non-data descriptor; only an instance built without
-# them falls through to it, once.
+# A validated instance holds `values` in its own `__dict__`, which takes
+# precedence over this non-data descriptor; only a dual built by
+# `Instance._unvalidated` falls through to it, once.
 Instance.values = cached_property(_values_from_kernel)
 Instance.values.__set_name__(Instance, "values")
 
@@ -322,16 +322,8 @@ class Allocation:
         return Allocation(tuple(frozenset(b) for b in bundles))
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One validity defect of an allocation against an instance."""
-
-    kind: str
-    message: str
-
-
 def validate_allocation(instance: Instance, allocation: Allocation) -> tuple:
-    """Check completeness and exclusivity; return a tuple of Violations.
+    """Check completeness and exclusivity; return a tuple of defect messages.
 
     An empty result means the allocation is valid: right number of bundles,
     only known type names, and each type held by exactly its copy count.
@@ -339,34 +331,24 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> tuple:
     """
     problems = []
     if len(allocation.bundles) != instance.agents:
-        problems.append(
-            Violation(
-                "bundle-count",
-                f"expected {instance.agents} bundles, got {len(allocation.bundles)}",
-            )
-        )
+        problems.append(f"expected {instance.agents} bundles, got {len(allocation.bundles)}")
     held = {name: 0 for name in instance.index}
     for i, b in enumerate(allocation.bundles):
         for name in sorted(b):
             if name not in instance.index:
-                problems.append(
-                    Violation("unknown-type", f"bundle {i} holds unknown type {name!r}")
-                )
+                problems.append(f"bundle {i} holds unknown type {name!r}")
             else:
                 held[name] += 1
     for t in instance.types:
         if held[t.name] != t.copies:
             problems.append(
-                Violation(
-                    "copy-count",
-                    f"type {t.name!r} held by {held[t.name]} agents, has {t.copies} copies",
-                )
+                f"type {t.name!r} held by {held[t.name]} agents, has {t.copies} copies"
             )
     return tuple(problems)
 
 
 def require_valid(instance: Instance, allocation: Allocation) -> None:
-    """Raise InstanceError when the allocation is invalid.
+    """Raise InstanceError, joining the defect messages, when the allocation is invalid.
 
     A pass is remembered on the allocation as the instance it was checked
     against. Both are immutable, so the same pair, by identity, is not
@@ -376,9 +358,7 @@ def require_valid(instance: Instance, allocation: Allocation) -> None:
         return
     problems = validate_allocation(instance, allocation)
     if problems:
-        raise InstanceError(
-            "; ".join(v.message for v in problems)
-        )
+        raise InstanceError("; ".join(problems))
     object.__setattr__(allocation, "_valid_for", instance)
 
 

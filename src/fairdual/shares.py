@@ -166,9 +166,11 @@ def check_alpha_mms(
     """Does every agent get at least alpha times their share?
 
     `shares` holds one value per agent: maximin values, or any share the
-    caller has certified, such as witness-partition bounds or PROP.
+    caller has certified, such as witness-partition bounds or PROP. `alpha`
+    is read once as an exact Fraction, the value that decides and is reported.
     """
     require_valid(instance, allocation)
+    alpha = Fraction(alpha)
     shares = tuple(Fraction(v) for v in shares)
     if len(shares) != instance.agents:
         raise ValueError("one share value per agent required")
@@ -181,7 +183,7 @@ def check_alpha_mms(
             failing.append(i)
     return AlphaMMSReport(
         fair=not failing,
-        alpha=Fraction(alpha),
+        alpha=alpha,
         shares=shares,
         ratios=tuple(ratios),
         failing=tuple(failing),

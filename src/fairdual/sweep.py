@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .criteria import BASES, HIERARCHY_EDGES, ComparisonCriterion, _bundles
-from .model import format_rational, instance_to_json
+from .model import MAX_INSTANCE_CELLS, format_rational, instance_to_json
 from .randgen import GENERATOR_VERSION, random_instance
 from .search import _first_unfair_pair, _walk, plan_total
 from .shares import mms_share
@@ -50,6 +50,8 @@ class SweepConfig:
             raise ValueError("need at least two agents")
         if self.max_types < 1:
             raise ValueError("need at least one type")
+        if self.max_agents * self.max_types > MAX_INSTANCE_CELLS:
+            raise ValueError(f"max_agents * max_types exceeds {MAX_INSTANCE_CELLS} values")
         if self.max_value < 0:
             raise ValueError("max_value must be nonnegative")
         if self.plan_cap < 1:

@@ -409,6 +409,10 @@ def test_sweep_text_reports_skipped_instances(capsys):
         (["--max-value", "-1"], "max_value must be nonnegative"),
         (["--plan-cap", "-1"], "plan_cap must be positive"),
         (["--plan-cap", "0", "--json"], "plan_cap must be positive"),
+        (
+            ["--max-agents", "1001", "--max-types", "1000"],
+            "max_agents * max_types exceeds 1000000 values",
+        ),
     ],
 )
 def test_sweep_refuses_an_empty_value_range_or_plan_cap(flags, message, capsys):

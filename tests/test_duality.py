@@ -292,15 +292,15 @@ def assert_as_validated(dual):
 @settings(max_examples=150, deadline=None)
 @given(dual_cases())
 def test_the_dual_equals_the_validated_instance(case):
-    """The unvalidated dual carries the swapped tags and, when the primal's
-    kernel is compiled, a kernel derived from it; both match what a
-    validated instance of the same fields computes. So do the double dual
-    (again unvalidated) and the reinserted one (validated)."""
+    """The unvalidated dual carries the swapped tags and a kernel derived
+    from the primal's, which `dualize` compiles when it is not compiled yet;
+    both match what a validated instance of the same fields computes. So do
+    the double dual (again unvalidated) and the reinserted one (validated)."""
     instance, compiled = case
     if compiled:
         instance.kernel
     first = dualize(instance)
-    assert ("kernel" in first.instance.__dict__) == compiled
+    assert "kernel" in instance.__dict__ and "kernel" in first.instance.__dict__
     assert_as_validated(first.instance)
     assert_as_validated(dualize(first.instance).instance)
     restored = dualize(first.instance, reinsert=first.dropped).instance
@@ -311,16 +311,17 @@ def test_the_dual_equals_the_validated_instance(case):
 @settings(max_examples=150, deadline=None)
 @given(dual_cases())
 def test_the_dual_keeps_its_values_in_the_kernel_when_the_primal_is_compiled(case):
-    """A dual of a compiled primal holds no values until they are read, and
-    its preset chores rows are the negated kernel a validated instance
-    compiles. Read, its values are exact: `==` and `hash` agree with the
+    """A dual, whether or not its primal's kernel was compiled beforehand,
+    holds its kernel and chores rows and no values until they are read; the
+    preset chores rows are the negated kernel a validated instance compiles.
+    Read, its values are exact: `==`, `hash` and `repr` agree with the
     validated instance's."""
     instance, compiled = case
     if compiled:
         instance.kernel
     dual = dualize(instance).instance
-    assert ("values" in dual.__dict__) != compiled
-    assert ("chores_rows" in dual.__dict__) == compiled
+    assert "kernel" in dual.__dict__ and "chores_rows" in dual.__dict__
+    assert "values" not in dual.__dict__
     chores_rows = dual.chores_rows
     assert chores_rows is dual.chores_rows
     validated = Instance(dual.agents, dual.types, dual.values)

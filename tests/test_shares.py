@@ -216,6 +216,18 @@ def test_check_alpha_mms_report():
         check_alpha_mms(instance, allocation, Fraction(1, 2), (6, 6))
 
 
+def test_check_alpha_mms_decides_with_the_alpha_it_reports():
+    """A float alpha is read exactly once: 0.1 is slightly above 1/10, so an
+    own value of 1 against a share of 10 falls short of it, and the reported
+    alpha, passed back in, gives the same verdict."""
+    instance = Instance(agents=1, types=(ItemType("t", 1),), values=((Fraction(1),),))
+    allocation = Allocation.of(["t"])
+    report = check_alpha_mms(instance, allocation, 0.1, (10,))
+    assert report.alpha == Fraction(0.1) != Fraction(1, 10)
+    assert report.fair == check_alpha_mms(instance, allocation, report.alpha, (10,)).fair
+    assert not report.fair and report.failing == (0,)
+
+
 def test_tps_trio_is_two():
     assert tps_share(trio_instance(), 0).value == 2
 
