@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .criteria import ComparisonCriterion, is_fair
-from .model import Allocation, Instance, InstanceError, ItemType, Kernel, require_valid
+from .model import Allocation, Instance, InstanceError, ItemType, Kernel
+from .model import _mark_valid, require_valid
 
 
 @dataclass(frozen=True)
@@ -130,10 +131,11 @@ def dualize(
     dual_allocation = None
     if allocation is not None:
         names = frozenset(dual_instance.index)
-        dual_allocation = Allocation(tuple(names - held for held in allocation.bundles))
         # The complement of a valid allocation is valid: a type held by k
         # agents is held by the other n - k, and a reinserted one by all.
-        object.__setattr__(dual_allocation, "_valid_for", dual_instance)
+        dual_allocation = _mark_valid(
+            dual_instance, Allocation(tuple(names - held for held in allocation.bundles))
+        )
     return DualResult(
         instance=dual_instance,
         allocation=dual_allocation,

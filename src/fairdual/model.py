@@ -359,7 +359,13 @@ def require_valid(instance: Instance, allocation: Allocation) -> None:
     problems = validate_allocation(instance, allocation)
     if problems:
         raise InstanceError("; ".join(problems))
+    _mark_valid(instance, allocation)
+
+
+def _mark_valid(instance: Instance, allocation: Allocation) -> Allocation:
+    """Remember, unchecked, an allocation the library built valid; return it."""
     object.__setattr__(allocation, "_valid_for", instance)
+    return allocation
 
 
 def instance_from_json(data, on_notice: Optional[Callable] = None) -> Instance:

@@ -160,26 +160,23 @@ class ExistenceCertificate:
     plan_total: int
 
 
-def _first_unfair_pair(rows, criterion, masks, changed: Optional[tuple] = None) -> Optional[tuple]:
-    """The first ordered pair (i, j) the criterion rejects, or None if fair.
+def _all_pairs(n: int) -> tuple:
+    """Every ordered pair (i, j) of distinct agents, in lexicographic order."""
+    return tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
-    `changed = (i, j)` resumes a scan whose first failing pair was (i, j)
-    before agents i and j alone changed bundles. Every pair before (i, j)
-    passed then, and only those that involve i or j can fail now, so rows
-    before i other than j test those two columns only; from row i on (and
-    on row j) every pair is tested. The result is the full scan's.
+
+def _first_unfair_pair(rows, criterion, masks, pairs) -> Optional[tuple]:
+    """The first pair (i, j) of `pairs` the criterion rejects, or None.
+
+    `pairs`, built once per walk in lexicographic order, is `_all_pairs(n)` or
+    omits pairs known to pass, as the leveled walk keeps smaller-to-larger ones.
 
     Not shared with `criteria.is_fair`, which lists every failing pair: the
     walks look `criterion_eval` up here, where `bench/spans.py` counts them.
     """
-    for a, row in enumerate(rows):
-        own = masks[a]
-        others = enumerate(masks)
-        if changed is not None and a < changed[0] and a != changed[1]:
-            others = [(b, masks[b]) for b in sorted(changed)]
-        for b, other in others:
-            if a != b and not criterion_eval(criterion, row, own, other):
-                return a, b
+    for i, j in pairs:
+        if not criterion_eval(criterion, rows[i], masks[i], masks[j]):
+            return i, j
     return None
 
 
@@ -236,11 +233,12 @@ def _fair_indices(instance, criterion, stop: int) -> Iterator[tuple]:
     for t in reversed(instance.types):
         below.append(below[-1] * math.comb(n, t.copies))
     below.reverse()
+    pairs = _all_pairs(n)
     walk = _walk(instance)
     masks, _ = next(walk)
     index = 0
     while True:
-        pair = _first_unfair_pair(rows, criterion, masks)
+        pair = _first_unfair_pair(rows, criterion, masks, pairs)
         if pair is None:
             yield index, masks
             depth = last

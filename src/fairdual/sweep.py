@@ -18,7 +18,7 @@ from typing import Optional
 from .criteria import BASES, HIERARCHY_EDGES, ComparisonCriterion, _bundles
 from .model import MAX_INSTANCE_CELLS, format_rational, instance_to_json
 from .randgen import GENERATOR_VERSION, random_instance
-from .search import _first_unfair_pair, _walk, plan_total
+from .search import _all_pairs, _first_unfair_pair, _walk, plan_total
 from .shares import mms_share
 
 # Every goods criterion the sweep evaluates: each base, plain then without commons.
@@ -146,6 +146,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             skipped += 1
             continue
         rows, scales = instance.kernel
+        pairs = _all_pairs(instance.agents)
         maximins = [
             mms_share(instance, agent, budget=config.plan_cap).value
             for agent in range(instance.agents)
@@ -153,7 +154,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         for masks, own in _walk(instance):
             total_allocations += 1
             verdict = {
-                c.notion: _first_unfair_pair(rows, c, masks) is None
+                c.notion: _first_unfair_pair(rows, c, masks, pairs) is None
                 for c in SWEEP_CRITERIA
             }
             for stronger, weaker in HIERARCHY_EDGES:

@@ -1,8 +1,9 @@
 """Reference leveled swap walk, independent of the library.
 
 This is the walk the library once ran: after every swap it looks for the
-first envious pair from (0, 1) again, on Fraction values and bundles of
-type names. Tests compare the library's resumed scan against it: the
+first envious pair from (0, 1) again, testing every pair, on Fraction values
+and bundles of type names. Tests compare the library's walk, which tests
+only pairs from a smaller bundle to a larger one, against it: the
 allocation, the trace and every potential must be the same.
 """
 

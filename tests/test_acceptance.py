@@ -20,7 +20,7 @@ from fairdual.criteria import (
 from fairdual.duality import check_envy_duality, dualize
 from fairdual.fixtures import fixture_ids, load_fixture
 from fairdual.leveled import solve_leveled_efxwc
-from fairdual.model import Allocation, Instance, ItemType, bundle
+from fairdual.model import Allocation, Instance, ItemType, bundle, validate_allocation
 from fairdual.randgen import random_instance, random_leveled_instance
 from fairdual.search import (
     check_chores_characterization,
@@ -241,6 +241,7 @@ def test_c08_leveled_solver_on_ten_thousand_instances():
         for index in range(10_000):
             instance = random_leveled_instance(rng, max_agents=5, max_types=8)
             result = solve_leveled_efxwc(instance)
+            assert not validate_allocation(instance, result.allocation), index
             assert is_fair(instance, result.allocation, efxwc).fair, index
             levels = [result.initial_potential] + [
                 s.potential for s in result.trace

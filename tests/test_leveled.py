@@ -12,7 +12,14 @@ from fairdual.leveled import (
     round_robin_init,
     solve_leveled_efxwc,
 )
-from fairdual.model import Allocation, Instance, InstanceError, ItemType, NotLeveledError
+from fairdual.model import (
+    Allocation,
+    Instance,
+    InstanceError,
+    ItemType,
+    NotLeveledError,
+    validate_allocation,
+)
 from fairdual.randgen import random_leveled_instance
 from leveled_reference import reference_walk
 
@@ -37,6 +44,17 @@ def leveled_instances(draw):
     row = st.lists(st.integers(0, GRID - 1), min_size=len(copies), max_size=len(copies))
     steps = draw(st.lists(row, min_size=n, max_size=n))
     return leveled_instance(copies, steps)
+
+
+@st.composite
+def leveled_allocations(draw):
+    """A leveled instance and any valid allocation of it, not only a walk state."""
+    instance = draw(leveled_instances())
+    bundles = [set() for _ in range(instance.agents)]
+    for t in instance.types:
+        for agent in draw(st.permutations(range(instance.agents)))[: t.copies]:
+            bundles[agent].add(t.name)
+    return instance, Allocation.of(*bundles)
 
 
 def test_round_robin_balances_bundle_sizes():
@@ -140,14 +158,44 @@ def test_solved_duals_are_chores_fair():
 @settings(max_examples=200, deadline=None)
 @given(leveled_instances())
 # Swaps (2, 0), then (1, 0): the envied agent sits below the envious one, and
-# the second pair lies before the first, in the rows the resumed scan narrows.
+# the second pair lies before the first in lexicographic order.
 @example(leveled_instance((2, 1, 1), ((3, 2, 1), (0, 0, 3), (3, 2, 0))))
 def test_the_resumed_walk_matches_the_restarting_reference(instance):
-    """Resuming the pair scan after a swap leaves the walk as it was when
-    every scan restarted at (0, 1): same start, trace, potentials and end."""
+    """Scanning only the pairs from a lower-level agent to a higher-level one
+    leaves the walk as it was when every scan tested every pair from (0, 1):
+    same start, trace, potentials and end."""
     result = solve_leveled_efxwc(instance)
     initial, initial_potential, trace, final = reference_walk(instance)
     assert result.initial.bundles == tuple(initial)
     assert result.initial_potential == initial_potential
     assert [(s.envious, s.envied, s.gained, s.lost, s.potential) for s in result.trace] == trace
     assert result.allocation.bundles == tuple(final)
+
+
+@settings(max_examples=200, deadline=None)
+@given(leveled_allocations())
+# One level: every pair is of equal sizes, so the allocation is EFX_WC.
+@example(
+    (
+        leveled_instance((2, 1, 1), ((3, 2, 1), (0, 0, 3))),
+        Allocation.of(["t0", "t1"], ["t0", "t2"]),
+    )
+)
+def test_an_agent_whose_bundle_is_no_smaller_never_envies(case):
+    """On leveled valuations i passes goods EFX_WC against j whenever
+    |A_i| >= |A_j|: i's exclusive types outnumber j's less one. This is why
+    the walk scans only the pairs from a smaller bundle to a larger one."""
+    instance, allocation = case
+    bundles = allocation.bundles
+    report = is_fair(instance, allocation, ComparisonCriterion("efx", "goods", True))
+    assert all(len(bundles[w.envious]) < len(bundles[w.envied]) for w in report.witnesses)
+    if len({len(b) for b in bundles}) == 1:
+        assert report.fair
+
+
+@settings(max_examples=200, deadline=None)
+@given(leveled_instances())
+def test_every_solver_allocation_is_valid(instance):
+    """The solver's allocation skips `require_valid` as valid by construction,
+    so a full check must find no defect in it."""
+    assert validate_allocation(instance, solve_leveled_efxwc(instance).allocation) == ()

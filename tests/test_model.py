@@ -303,18 +303,19 @@ def test_the_leveled_pipeline_compiles_the_primal_kernel_only(monkeypatch):
 
 
 def test_the_leveled_pipeline_validates_one_allocation(validations):
-    """On one `c08` operation only the solver's allocation is validated:
-    `dualize` reuses the primal check and marks the dual allocation valid
-    for the dual it built. The dual's values are never built, and reading
-    them gives the primal's kept columns negated, as a validated instance
-    holds them."""
+    """On one `c08` operation no allocation gets a full validation: the
+    solver marks its allocation valid for the instance, by construction,
+    and `dualize` marks the dual allocation valid for the dual it built.
+    The dual's values are never built, and reading them gives the primal's
+    kept columns negated, as a validated instance holds them."""
     instance = leveled_pipeline_instance()
     allocation = solve_leveled_efxwc(instance).allocation
     assert is_fair(instance, allocation, ComparisonCriterion("efx", "goods", True)).fair
     dual = dualize(instance, allocation)
     chores = ComparisonCriterion("efx", "chores", True)
     assert is_fair(dual.instance, dual.allocation, chores).fair
-    assert validations == [(instance, allocation)] and validations[0][1] is allocation
+    assert validations == []
+    assert model.validate_allocation(instance, allocation) == ()
     d = dual.instance
     assert "values" not in d.__dict__
     negated = tuple(tuple(-row[k] for k in range(3)) for row in instance.values)
@@ -346,9 +347,17 @@ def test_only_model_and_duality_name_the_unvalidated_constructor():
 
 
 def test_only_model_and_duality_name_the_validity_mark():
-    """An allocation marked valid skips `require_valid`, so only the check
-    itself and the dual's construction may mark one."""
-    assert _package_files_naming("_valid_for") == {"model.py", "duality.py"}
+    """An allocation marked valid skips `require_valid`, so only `model`
+    touches the mark, through `require_valid` and `_mark_valid`."""
+    assert _package_files_naming("_valid_for") == {"model.py"}
+
+
+def test_only_duality_and_leveled_call_the_marking_helper():
+    """`_mark_valid` trusts its caller, so besides `model` (which defines it
+    and marks what `require_valid` checked) only the two constructions that
+    build an allocation valid may name it: the dual's complements and the
+    leveled walk's result."""
+    assert _package_files_naming("_mark_valid") == {"model.py", "duality.py", "leveled.py"}
 
 
 def two_type_instance(copies_of_a: int) -> Instance:

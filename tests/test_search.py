@@ -20,6 +20,7 @@ from fairdual.criteria import (
     ComparisonCriterion,
     OrientationError,
     _bundles,
+    criterion_eval,
     is_fair,
 )
 from fairdual.duality import dualize
@@ -322,35 +323,30 @@ def test_a_failing_pair_skips_its_subtree(monkeypatch):
     assert 0 < len(calls) < 2048
 
 
-@settings(max_examples=200, deadline=None)
+def double_loop_first_unfair_pair(rows, criterion, masks):
+    """The first failing ordered pair by a plain double loop, or None."""
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            if i != j and not criterion_eval(criterion, rows[i], masks[i], masks[j]):
+                return i, j
+    return None
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_a_resumed_pair_scan_finds_the_full_scans_pair(data):
-    """When (i, j) is the first failing pair and only agents i and j then
-    change bundles, the scan resumed at (i, j) returns the full scan's first
-    failing pair, whatever the rows, masks and criterion."""
-    n, width = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 6))
+def test_the_all_pairs_scan_finds_the_double_loops_first_pair(data):
+    """With `_all_pairs(n)`, the scan returns the first failing pair in
+    lexicographic order, whatever the rows, masks and criterion."""
+    n, width = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
     base, without_commons = data.draw(st.sampled_from(BASES)), data.draw(st.booleans())
     criterion = ComparisonCriterion(base, "goods", without_commons)
     row = st.lists(st.integers(0, 9), min_size=width, max_size=width)
     rows = data.draw(st.lists(row, min_size=n, max_size=n))
-    mask = st.integers(0, (1 << width) - 1)
-    masks = data.draw(st.lists(mask, min_size=n, max_size=n))
-    pair = search._first_unfair_pair(rows, criterion, masks)
-    assume(pair is not None)
-    i, j = pair
-    masks[i], masks[j] = data.draw(mask), data.draw(mask)
-    resumed = search._first_unfair_pair(rows, criterion, masks, changed=pair)
-    assert resumed == search._first_unfair_pair(rows, criterion, masks)
-
-
-def test_a_resumed_pair_scan_keeps_lexicographic_order_below_the_envied_agent():
-    """After (2, 0) changes agents 2 and 0, agent 1 envies both; the first
-    failing pair is still (1, 0), the lower column first."""
-    ef, rows = ComparisonCriterion("ef"), [[1, 1]] * 3
-    masks = [0b01, 0b01, 0b00]
-    assert search._first_unfair_pair(rows, ef, masks) == (2, 0)
-    masks[2] = masks[0] = 0b11
-    assert search._first_unfair_pair(rows, ef, masks, changed=(2, 0)) == (1, 0)
+    masks = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
+    pairs = search._all_pairs(n)
+    assert len(pairs) == n * (n - 1) and list(pairs) == sorted(pairs)
+    expected = double_loop_first_unfair_pair(rows, criterion, masks)
+    assert search._first_unfair_pair(rows, criterion, masks, pairs) == expected
 
 
 def l20_instance():

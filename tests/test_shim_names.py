@@ -28,12 +28,14 @@ def counted(monkeypatch, module, name):
     return calls
 
 
-def small_instance():
+def small_instance(types=4):
+    """Three agents, copies alternating 1 and 2: one level of two copies each
+    with four types, bundle sizes 3, 2, 2 with five. Values are leveled."""
     return Instance(
         agents=3,
-        types=tuple(ItemType(f"t{k}", 1 + k % 2) for k in range(4)),
+        types=tuple(ItemType(f"t{k}", 1 + k % 2) for k in range(types)),
         values=tuple(
-            tuple(Fraction(10 + (i + k) % 3, 10) for k in range(4)) for i in range(3)
+            tuple(Fraction(10 + (i + k) % 3, 10) for k in range(types)) for i in range(3)
         ),
     )
 
@@ -59,4 +61,8 @@ def test_leveled_calls_both_shimmed_names(monkeypatch):
     evaluations = counted(monkeypatch, search, "criterion_eval")
     leveled.solve_leveled_efxwc(small_instance())
     assert checks
+    # With one level no pair can fail, so the walk evaluates none; with two
+    # it evaluates the pairs from the lower level to the higher.
+    assert not evaluations
+    leveled.solve_leveled_efxwc(small_instance(types=5))
     assert evaluations
