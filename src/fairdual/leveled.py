@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .criteria import ComparisonCriterion, _bits, _bundles, _masks
+from .criteria import ComparisonCriterion, _bits, _entries, _masks
 from .model import Allocation, FairdualError, Instance, InstanceError, NotLeveledError
 from .model import _mark_valid, require_valid
 from .search import _all_pairs, _first_unfair_pair
@@ -146,7 +146,7 @@ def solve_leveled_efxwc(instance: Instance) -> LeveledResult:
     # decoding every mask anew raised the `leveled` benchmark's peak RSS
     # from 94.8-95.1 to 98.8-99.1 MB (seed 42, 2-vCPU guest, CPython 3.11.7).
     bundles = [
-        b if m == m0 else _bundles(instance, [m])[0]
+        b if m == m0 else frozenset(_entries(names, m))
         for b, m0, m in zip(initial.bundles, start, masks)
     ]
     # Valid by construction: swaps trade exclusive types of a round robin.

@@ -144,7 +144,9 @@ class Instance:
 
     `values[i][t]` is agent i's value for one copy of the type at position
     t of `types`. Agent and type order is significant: indices in reports
-    and witnesses refer to these positions.
+    and witnesses refer to these positions. Every type is a good, a chore
+    or all zero; `signs`, a subset of {1, -1}, holds the signs of the
+    nonzero values.
     """
 
     agents: int
@@ -178,22 +180,26 @@ class Instance:
             for v in row:
                 if not isinstance(v, Fraction):
                     raise InstanceError(f"value {v!r} is not a Fraction")
-        for t, tag in zip(self.types, self.type_tags):
-            if tag == "mixed":
+        signs = set()
+        for t, column in zip(self.types, zip(*self.values)):
+            # A Fraction's sign is its numerator's, which is cheaper to test.
+            found = {1 if v.numerator > 0 else -1 for v in column if v.numerator}
+            if len(found) > 1:
                 raise InstanceError(
                     f"type {t.name!r} has both positive and negative values; "
                     "every type must be a good or a chore for all agents"
                 )
+            signs |= found
+        object.__setattr__(self, "signs", frozenset(signs))
 
     @classmethod
     def _unvalidated(cls, agents: int, types: tuple, **preset) -> "Instance":
         """An instance whose fields are known valid, skipping `__post_init__`.
 
-        `types` must already be a tuple. Each keyword presets the cached
-        property of that name: `kernel`, `chores_rows` and `type_tags`.
-        `values` is built from the kernel on first read. Only
-        `duality.dualize` calls this, on fields derived from a validated
-        instance.
+        `types` must already be a tuple. Each keyword presets the attribute
+        of that name: `kernel`, `chores_rows` and `signs`. `values` is built
+        from the kernel on first read. Only `duality.dualize` calls this, on
+        fields derived from a validated instance.
         """
         instance = object.__new__(cls)
         for name, value in {"agents": agents, "types": types, **preset}.items():
@@ -204,29 +210,6 @@ class Instance:
     def index(self) -> dict:
         """Type name to position."""
         return {t.name: pos for pos, t in enumerate(self.types)}
-
-    @cached_property
-    def type_tags(self) -> tuple:
-        """Per-type sign tag: "good", "chore", "zero" or "mixed".
-
-        A type is a good when no agent values it negatively and someone
-        values it positively, a chore symmetrically, and "zero" when every
-        agent values it at 0 (compatible with both orientations). A
-        Fraction's sign is its numerator's, which is cheaper to test.
-        """
-        tags = []
-        for column in zip(*self.values):
-            has_pos = any(v.numerator > 0 for v in column)
-            has_neg = any(v.numerator < 0 for v in column)
-            if has_pos and has_neg:
-                tags.append("mixed")
-            elif has_pos:
-                tags.append("good")
-            elif has_neg:
-                tags.append("chore")
-            else:
-                tags.append("zero")
-        return tuple(tags)
 
     @cached_property
     def kernel(self) -> Kernel:
@@ -241,11 +224,11 @@ class Instance:
 
     @property
     def goods_pure(self) -> bool:
-        return all(tag in ("good", "zero") for tag in self.type_tags)
+        return -1 not in self.signs
 
     @property
     def chores_pure(self) -> bool:
-        return all(tag in ("chore", "zero") for tag in self.type_tags)
+        return 1 not in self.signs
 
     def orientation(self) -> Optional[str]:
         """The natural criterion orientation, or None for a mixed instance.
@@ -350,20 +333,18 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> tuple:
 def require_valid(instance: Instance, allocation: Allocation) -> None:
     """Raise InstanceError, joining the defect messages, when the allocation is invalid.
 
-    A pass is remembered on the allocation as the instance it was checked
-    against. Both are immutable, so the same pair, by identity, is not
-    checked again; any other instance, even an equal one, gets a full check.
+    An allocation that `_mark_valid` marked for this very instance, by
+    identity, is not checked; any other is checked in full on every call.
     """
     if getattr(allocation, "_valid_for", None) is instance:
         return
     problems = validate_allocation(instance, allocation)
     if problems:
         raise InstanceError("; ".join(problems))
-    _mark_valid(instance, allocation)
 
 
 def _mark_valid(instance: Instance, allocation: Allocation) -> Allocation:
-    """Remember, unchecked, an allocation the library built valid; return it."""
+    """Mark, unchecked, an allocation the library built valid for instance; return it."""
     object.__setattr__(allocation, "_valid_for", instance)
     return allocation
 

@@ -6,13 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairdual.criteria import BASES, ComparisonCriterion, criterion_for, is_fair
-from fairdual.duality import (
-    DroppedType,
-    check_envy_duality,
-    complement_criterion,
-    dualize,
-)
-from fairdual.model import Allocation, Instance, InstanceError, ItemType, bundle
+from fairdual.duality import check_envy_duality, complement_criterion, dualize
+from fairdual.model import Allocation, Instance, ItemType, bundle
 from fairdual.randgen import random_instance
 from fairdual.shares import check_share_duality
 from strategies import signed_allocations
@@ -68,55 +63,6 @@ def test_full_copy_types_are_dropped_and_recorded():
     assert record.values == (Fraction(5), Fraction(4))
 
 
-def test_reinsert_rejects_name_collisions():
-    instance = Instance(
-        agents=2,
-        types=(ItemType("a", 2), ItemType("b", 1)),
-        values=((Fraction(5), Fraction(1)),) * 2,
-    )
-    result = dualize(instance)
-    clashing = DroppedType(
-        position=0, item=ItemType("b", 2), values=(Fraction(5), Fraction(5))
-    )
-    with pytest.raises(InstanceError):
-        dualize(result.instance, reinsert=(clashing,))
-
-
-def test_reinsert_rejects_negative_positions():
-    instance = Instance(
-        agents=2,
-        types=(ItemType("a", 1), ItemType("b", 1), ItemType("c", 1)),
-        values=((Fraction(1), Fraction(2), Fraction(3)),) * 2,
-    )
-    negative = DroppedType(
-        position=-1, item=ItemType("z", 2), values=(Fraction(5), Fraction(5))
-    )
-    with pytest.raises(InstanceError, match="'z' has negative position -1"):
-        dualize(instance, reinsert=(negative,))
-
-
-def test_reinsert_rejects_positions_past_the_end():
-    """A record lands at its own position; one past the end is refused, not appended."""
-    instance = Instance(
-        agents=2,
-        types=(ItemType("a", 1),),
-        values=((Fraction(1),), (Fraction(2),)),
-    )
-
-    def record(name, position):
-        return DroppedType(position, ItemType(name, 2), (Fraction(5), Fraction(5)))
-
-    with pytest.raises(
-        InstanceError, match="^reinserted type 'z' has position 7 past the end of 1 types$"
-    ):
-        dualize(instance, reinsert=(record("z", 7),))
-    # Records go in by ascending position, so the second may use the slot the first made.
-    dual = dualize(instance, reinsert=(record("y", 2), record("z", 1))).instance
-    assert dual.type_names() == ("a", "z", "y")
-    with pytest.raises(InstanceError, match="'y' has position 3 past the end of 2 types"):
-        dualize(instance, reinsert=(record("y", 3), record("z", 1)))
-
-
 @settings(max_examples=100, deadline=None)
 @given(signed_allocations())
 @example(
@@ -147,19 +93,31 @@ def test_value_identity_on_random_instances(case):
 
 @settings(max_examples=100, deadline=None)
 @given(signed_allocations())
-def test_double_dual_round_trips_through_reinsert(case):
-    """Dualizing twice, reinserting the dropped full-copy types, gives back the input."""
+def test_double_dual_restricts_to_the_types_not_held_by_everyone(case):
+    """Dualizing twice gives the instance and the allocation restricted to
+    the types held by fewer than n agents, and `dropped` records every
+    full-copy type with its position and column. A dual allocation maps back
+    to the primal as each agent's complement in all the primal's types."""
     instance, allocation = case
+    n = instance.agents
     first = dualize(instance, allocation)
-    second = dualize(first.instance, first.allocation, reinsert=first.dropped)
-    assert second.instance == instance
-    assert second.allocation == allocation
-    full = [(pos, t) for pos, t in enumerate(instance.types) if t.copies == instance.agents]
-    assert [(record.position, record.item) for record in first.dropped] == full
-    assert [record.values for record in first.dropped] == [
-        tuple(row[pos] for row in instance.values) for pos, _ in full
-    ]
+    second = dualize(first.instance, first.allocation)
+    keep = [pos for pos, t in enumerate(instance.types) if t.copies < n]
+    restricted = Instance(
+        agents=n,
+        types=tuple(instance.types[pos] for pos in keep),
+        values=tuple(tuple(row[pos] for pos in keep) for row in instance.values),
+    )
+    assert second.instance == restricted
+    kept = frozenset(restricted.index)
+    assert second.allocation == Allocation(tuple(held & kept for held in allocation.bundles))
     assert second.dropped == ()
+    every = frozenset(instance.index)
+    assert Allocation(tuple(every - held for held in first.allocation.bundles)) == allocation
+    full = [pos for pos in range(len(instance.types)) if pos not in keep]
+    assert [(record.position, record.item, record.values) for record in first.dropped] == [
+        (pos, instance.types[pos], tuple(row[pos] for row in instance.values)) for pos in full
+    ]
 
 
 def test_complement_criterion_flips_orientation_only():
@@ -238,30 +196,6 @@ def test_share_duality_holds_for_every_linear_share(instance, entitlement):
     assert check_share_duality(instance, "aps", entitlement=entitlement)
 
 
-def test_reinsert_refusals_name_the_fault():
-    """Reinserted records are caller data, so the dual they build is validated."""
-    instance = Instance(
-        agents=2,
-        types=(ItemType("a", 1),),
-        values=((Fraction(1),), (Fraction(2),)),
-    )
-
-    def record(name, *values):
-        return DroppedType(position=0, item=ItemType(name, 2), values=values)
-
-    with pytest.raises(InstanceError, match="^value 1 is not a Fraction$"):
-        dualize(instance, reinsert=(record("z", 1, Fraction(1)),))
-    with pytest.raises(
-        InstanceError,
-        match="^type 'z' has both positive and negative values; "
-        "every type must be a good or a chore for all agents$",
-    ):
-        dualize(instance, reinsert=(record("z", Fraction(1), Fraction(-1)),))
-    twice = record("z", Fraction(1), Fraction(1))
-    with pytest.raises(InstanceError, match="^duplicate type names$"):
-        dualize(instance, reinsert=(twice, twice))
-
-
 @st.composite
 def dual_cases(draw):
     """1-4 agents, 0-6 types with copies 1..n (full-copy types drop), one
@@ -285,17 +219,17 @@ def dual_cases(draw):
 def assert_as_validated(dual):
     validated = Instance(dual.agents, dual.types, dual.values)
     assert dual == validated
-    assert dual.type_tags == validated.type_tags
+    assert dual.signs == validated.signs
     assert dual.kernel == validated.kernel
 
 
 @settings(max_examples=150, deadline=None)
 @given(dual_cases())
 def test_the_dual_equals_the_validated_instance(case):
-    """The unvalidated dual carries the swapped tags and a kernel derived
-    from the primal's, which `dualize` compiles when it is not compiled yet;
-    both match what a validated instance of the same fields computes. So do
-    the double dual (again unvalidated) and the reinserted one (validated)."""
+    """The unvalidated dual carries a sign set and a kernel derived from the
+    primal's, which `dualize` compiles when it is not compiled yet; both
+    match what a validated instance of the same fields computes. So does
+    the double dual."""
     instance, compiled = case
     if compiled:
         instance.kernel
@@ -303,9 +237,6 @@ def test_the_dual_equals_the_validated_instance(case):
     assert "kernel" in instance.__dict__ and "kernel" in first.instance.__dict__
     assert_as_validated(first.instance)
     assert_as_validated(dualize(first.instance).instance)
-    restored = dualize(first.instance, reinsert=first.dropped).instance
-    assert restored == instance
-    assert_as_validated(restored)
 
 
 @settings(max_examples=150, deadline=None)

@@ -155,13 +155,9 @@ def test_orientation_classification():
     assert zero.goods_pure and zero.chores_pure
 
 
-def reference_tag(column):
-    """A type's sign tag by Fraction comparisons."""
-    has_pos = any(v > 0 for v in column)
-    has_neg = any(v < 0 for v in column)
-    if has_pos and has_neg:
-        return "mixed"
-    return "good" if has_pos else "chore" if has_neg else "zero"
+def reference_signs(column) -> set:
+    """The signs of a column's nonzero values, by Fraction comparisons."""
+    return {1 for v in column if v > 0} | {-1 for v in column if v < 0}
 
 
 # Per type: all zero, goods, chores, or both signs (mixed is likely).
@@ -181,24 +177,24 @@ signed_columns = st.sampled_from([(0, 0), (0, 1), (-1, 0), (-1, 1)]).flatmap(
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4), st.lists(signed_columns, max_size=5))
-def test_type_tags_match_fraction_comparisons(n, draws):
+def test_signs_match_fraction_comparisons(n, draws):
     columns = [(draw * n)[:n] for draw in draws]
-    expected = [reference_tag(column) for column in columns]
+    expected = [reference_signs(column) for column in columns]
     types = tuple(ItemType(f"t{k}", 1) for k in range(len(columns)))
     values = tuple(tuple(column[i] for column in columns) for i in range(n))
-    if "mixed" in expected:
-        name = types[expected.index("mixed")].name
-        message = f"type {name!r} has both positive and negative values"
+    mixed = [t.name for t, found in zip(types, expected) if len(found) > 1]
+    if mixed:
+        message = f"type {mixed[0]!r} has both positive and negative values"
         with pytest.raises(InstanceError, match=message):
             Instance(agents=n, types=types, values=values)
     else:
-        assert Instance(agents=n, types=types, values=values).type_tags == tuple(expected)
+        assert Instance(agents=n, types=types, values=values).signs == set().union(*expected)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 4),
-    st.lists(signed_columns.filter(lambda c: reference_tag(c) != "mixed"), max_size=5),
+    st.lists(signed_columns.filter(lambda c: len(reference_signs(c)) < 2), max_size=5),
 )
 def test_kernel_rows_are_values_times_the_lcm_of_their_denominators(n, draws):
     """Goods, chores and zero types; so rows that mix signs, all-zero rows, no types."""
@@ -346,6 +342,17 @@ def test_only_model_and_duality_name_the_unvalidated_constructor():
     assert _package_files_naming("_unvalidated") == {"model.py", "duality.py"}
 
 
+def test_duality_builds_instances_only_through_the_unvalidated_constructor():
+    """Every dual is built one way: `duality` calls `Instance._unvalidated`
+    and never the validating `Instance(...)`."""
+    package = os.path.dirname(os.path.abspath(model.__file__))
+    with open(os.path.join(package, "duality.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename="duality.py")
+    callees = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert "Instance" not in callees
+    assert "Instance._unvalidated" in callees
+
+
 def test_only_model_and_duality_name_the_validity_mark():
     """An allocation marked valid skips `require_valid`, so only `model`
     touches the mark, through `require_valid` and `_mark_valid`."""
@@ -353,10 +360,9 @@ def test_only_model_and_duality_name_the_validity_mark():
 
 
 def test_only_duality_and_leveled_call_the_marking_helper():
-    """`_mark_valid` trusts its caller, so besides `model` (which defines it
-    and marks what `require_valid` checked) only the two constructions that
-    build an allocation valid may name it: the dual's complements and the
-    leveled walk's result."""
+    """`_mark_valid` trusts its caller, so besides `model`, which defines
+    it, only the two constructions that build an allocation valid may name
+    it: the dual's complements and the leveled walk's result."""
     assert _package_files_naming("_mark_valid") == {"model.py", "duality.py", "leveled.py"}
 
 
@@ -379,43 +385,41 @@ def test_an_allocation_valid_for_one_instance_is_refused_on_another():
         is_fair(doubled, allocation, ComparisonCriterion("ef"))
     with pytest.raises(InstanceError, match=message):
         dualize(doubled, allocation)
-    # The refusal left the pass on the first instance standing.
     require_valid(single, allocation)
 
 
 def test_an_equal_but_distinct_instance_gets_a_full_check(validations):
+    """A caller's allocation is checked on every call. A mark holds only for
+    the instance whose construction set it, not for an equal validated copy."""
     first, second = two_type_instance(1), two_type_instance(1)
     assert first == second and first is not second
     allocation = Allocation.of(["a"], ["b"])
     require_valid(first, allocation)
     require_valid(first, allocation)
-    assert len(validations) == 1
+    assert len(validations) == 2
     require_valid(second, allocation)
-    assert len(validations) == 2 and validations[1][0] is second
-    # The pass remembered is the latest one, so `dualize` checks again on
-    # `first`; the dual allocation it returns is marked for its own dual only.
+    assert len(validations) == 3 and validations[2][0] is second
     dual = dualize(first, allocation)
-    assert len(validations) == 3 and validations[2][0] is first
+    assert len(validations) == 4 and validations[3][0] is first
     require_valid(dual.instance, dual.allocation)
-    assert len(validations) == 3
+    assert len(validations) == 4
     validated = Instance(dual.instance.agents, dual.instance.types, dual.instance.values)
+    assert validated == dual.instance
     require_valid(validated, dual.allocation)
-    assert len(validations) == 4 and validations[3][0] is validated
+    assert len(validations) == 5 and validations[4][0] is validated
 
 
 def test_the_validity_mark_changes_no_view_of_an_allocation():
     instance = three_agent_instance()
-    bundles = (["t1", "t2"], ["t1", "t3", "t4"], ["t2", "t3", "t4"])
-    marked, fresh = Allocation.of(*bundles), Allocation.of(*bundles)
-    require_valid(instance, marked)
+    allocation = Allocation.of(["t1", "t2"], ["t1", "t3", "t4"], ["t2", "t3", "t4"])
+    dual = dualize(instance, allocation)
+    marked, fresh = dual.allocation, Allocation(dual.allocation.bundles)
     assert "_valid_for" in vars(marked) and "_valid_for" not in vars(fresh)
+    assert "_valid_for" not in vars(allocation)
     assert marked == fresh
     assert hash(marked) == hash(fresh)
     assert repr(marked) == repr(fresh)
-    assert allocation_to_json(marked, instance) == allocation_to_json(fresh, instance)
-    dual = dualize(instance, marked).allocation
-    assert dual == Allocation(dual.bundles)
-    assert repr(dual) == repr(Allocation(dual.bundles))
+    assert allocation_to_json(marked, dual.instance) == allocation_to_json(fresh, dual.instance)
 
 
 def test_anyprice_shares_compile_no_value_row_beyond_the_kernels(monkeypatch):
