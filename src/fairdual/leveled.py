@@ -20,7 +20,7 @@ from typing import Optional
 
 from .criteria import ComparisonCriterion, _bits, _entries, _masks
 from .model import Allocation, FairdualError, Instance, InstanceError, NotLeveledError
-from .model import _mark_valid, require_valid
+from .model import _mark_valid, _require_agent, require_valid
 from .search import _all_pairs, _first_unfair_pair
 
 
@@ -33,6 +33,7 @@ def leveled_counterexample(instance: Instance, agent: int) -> Optional[tuple]:
     ascending sort of the integer row and two running sums check every m;
     returns (m + 1, m) for the first failing m.
     """
+    _require_agent(instance, agent)
     ascending = sorted(instance.kernel.rows[agent])
     if ascending and ascending[0] < 0:
         raise InstanceError(

@@ -192,19 +192,38 @@ class Instance:
             signs |= found
         object.__setattr__(self, "signs", frozenset(signs))
 
-    @classmethod
-    def _unvalidated(cls, agents: int, types: tuple, **preset) -> "Instance":
-        """An instance whose fields are known valid, skipping `__post_init__`.
+    def _dual(self) -> "Instance":
+        """The dual: values negated, a type held by k < n agents given n - k copies.
 
-        `types` must already be a tuple. Each keyword presets the attribute
-        of that name: `kernel`, `chores_rows` and `signs`. `values` is built
-        from the kernel on first read. Only `duality.dualize` calls this, on
-        fields derived from a validated instance.
+        Derived from this instance's kernel, not validated again. A kernel
+        entry is x = v * S for its row's scale S. The kept values' least
+        common denominator is S / g, with g the gcd of S and the kept
+        entries, so those entries divided by g are the chores rows a
+        validated dual compiles: negative for goods, positive for chores.
+        `values` is built from the kernel on first read.
         """
-        instance = object.__new__(cls)
-        for name, value in {"agents": agents, "types": types, **preset}.items():
-            object.__setattr__(instance, name, value)
-        return instance
+        n = self.agents
+        keep = [pos for pos, t in enumerate(self.types) if t.copies < n]
+        rows, scales, chores = [], [], []
+        low = high = 0
+        for row, scale in zip(*self.kernel):
+            kept = [row[pos] for pos in keep]
+            g = math.gcd(scale, *kept)
+            if g > 1:
+                kept = [x // g for x in kept]
+            chores.append(tuple(kept))
+            rows.append(tuple(-x for x in kept))
+            scales.append(scale // g)
+            low, high = min([low, *kept]), max([high, *kept])
+        dual = object.__new__(Instance)
+        vars(dual).update(
+            agents=n,
+            types=tuple(ItemType(self.types[p].name, n - self.types[p].copies) for p in keep),
+            kernel=Kernel(tuple(rows), tuple(scales)),
+            chores_rows=tuple(chores),
+            signs=frozenset([1] * (low < 0) + [-1] * (high > 0)),
+        )
+        return dual
 
     @cached_property
     def index(self) -> dict:
@@ -250,10 +269,12 @@ class Instance:
 
     def value(self, agent: int, name: str) -> Fraction:
         """Agent's value for one copy of the named type."""
+        _require_agent(self, agent)
         return self.values[agent][self.position(name)]
 
     def bundle_value(self, agent: int, items: Iterable) -> Fraction:
         """Additive value of a bundle (one copy per named type)."""
+        _require_agent(self, agent)
         row = self.values[agent]
         total = Fraction(0)
         for name in items:
@@ -262,6 +283,7 @@ class Instance:
 
     def total_value(self, agent: int) -> Fraction:
         """Value of every copy of every type (copies counted)."""
+        _require_agent(self, agent)
         row = self.values[agent]
         return sum(
             (t.copies * row[pos] for pos, t in enumerate(self.types)),
@@ -270,10 +292,20 @@ class Instance:
 
     def typeset_value(self, agent: int) -> Fraction:
         """Value of one copy of each type (the duality shift constant)."""
+        _require_agent(self, agent)
         return sum(self.values[agent], Fraction(0))
 
     def type_names(self) -> tuple:
         return tuple(t.name for t in self.types)
+
+
+def _require_agent(instance: Instance, agent: int) -> None:
+    """Refuse an agent outside 0..n-1; a negative index would wrap around."""
+    if not 0 <= agent < instance.agents:
+        raise InstanceError(
+            f"agent {agent} out of range: the instance has agents "
+            f"0..{instance.agents - 1}"
+        )
 
 
 def _values_from_kernel(instance: Instance) -> tuple:
@@ -284,7 +316,7 @@ def _values_from_kernel(instance: Instance) -> tuple:
 
 # A validated instance holds `values` in its own `__dict__`, which takes
 # precedence over this non-data descriptor; only a dual built by
-# `Instance._unvalidated` falls through to it, once.
+# `Instance._dual` falls through to it, once.
 Instance.values = cached_property(_values_from_kernel)
 Instance.values.__set_name__(Instance, "values")
 
@@ -317,7 +349,11 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> tuple:
         problems.append(f"expected {instance.agents} bundles, got {len(allocation.bundles)}")
     held = {name: 0 for name in instance.index}
     for i, b in enumerate(allocation.bundles):
-        for name in sorted(b):
+        try:
+            names = sorted(b)
+        except TypeError:  # a non-string name: list the mix in repr order
+            names = sorted(b, key=repr)
+        for name in names:
             if name not in instance.index:
                 problems.append(f"bundle {i} holds unknown type {name!r}")
             else:

@@ -26,7 +26,6 @@ def random_instance(
     max_agents: int = 4,
     max_types: int = 5,
     orientation: str = "goods",
-    single_copy: bool = False,
     max_abs_value: int = 9,
 ) -> Instance:
     """Small instance with integer values; orientation goods or chores."""
@@ -35,10 +34,9 @@ def random_instance(
     sign = 1 if orientation == "goods" else -1
     agents = rng.randint(2, max(2, max_agents))
     n_types = rng.randint(1, max_types)
-    types = []
-    for pos in range(n_types):
-        copies = 1 if single_copy else rng.randint(1, agents)
-        types.append(ItemType(f"t{pos + 1}", copies))
+    types = tuple(
+        ItemType(f"t{pos + 1}", rng.randint(1, agents)) for pos in range(n_types)
+    )
     values = tuple(
         tuple(
             Fraction(sign * rng.randint(0, max_abs_value))
@@ -46,7 +44,7 @@ def random_instance(
         )
         for _ in range(agents)
     )
-    return Instance(agents=agents, types=tuple(types), values=values)
+    return Instance(agents=agents, types=types, values=values)
 
 
 def random_allocation(rng: random.Random, instance: Instance) -> Allocation:

@@ -183,10 +183,10 @@ def _first_unfair_pair(rows, criterion, masks, pairs) -> Optional[tuple]:
 def _refuted_depth(criterion, row, mask_i: int, mask_j: int, full: int, everything: int) -> int:
     """How far up the plan tree a failing pair (i, j) refutes this allocation.
 
-    Returns the shallowest depth d such that the pair fails on every
-    allocation sharing this one's holders of types 0..d, or -1 when it
-    fails on the whole plan. `row` is agent i's row from `_rows`, `full`
-    the mask of the full-copy types and `everything` the mask of all types.
+    Returns the shallowest depth d >= 0 such that the pair fails on every
+    allocation sharing this one's holders of types 0..d. `row` is agent i's
+    row from `_rows`, `full` the mask of the full-copy types and
+    `everything` the mask of all types.
 
     Soundness: `require_orientation` makes every row `_rows` gives
     non-negative, and for every base, plain or `_wc`, an item on the own
@@ -197,13 +197,16 @@ def _refuted_depth(criterion, row, mask_i: int, mask_j: int, full: int, everythi
     type to both; if the pair fails there, it fails on every allocation in
     the subtree. Climbing from the deepest prefix, trailing types that this
     allocation already gives the favoured agent alone need no evaluation;
-    each other type costs one, until the pair passes.
+    each other type costs one, until the pair passes. It passes at the
+    lowest such type at the latest: there the completion is the fully
+    favourable allocation, which every base accepts.
     """
     chores = criterion.orientation == "chores"
     fav, other = (mask_j, mask_i) if chores else (mask_i, mask_j)
     # Types this allocation does not give the favoured agent alone.
     loose = everything & ~full & ~(fav & ~other)
-    while loose:
+    while True:
+        assert loose, "a failing pair fails its fully favourable completion"
         depth = loose.bit_length() - 1
         loose ^= 1 << depth
         prefix = (1 << depth) - 1
@@ -212,7 +215,6 @@ def _refuted_depth(criterion, row, mask_i: int, mask_j: int, full: int, everythi
         pair = (best_other, best_fav) if chores else (best_fav, best_other)
         if criterion_eval(criterion, row, *pair):
             return depth
-    return -1
 
 
 def _fair_indices(instance, criterion, stop: int) -> Iterator[tuple]:

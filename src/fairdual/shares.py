@@ -31,9 +31,9 @@ from .model import (
     BudgetExceededError,
     CertificateError,
     Instance,
-    InstanceError,
     OrientationError,
     _integer_row,
+    _require_agent,
     require_valid,
 )
 from .search import _require_within_budget
@@ -74,17 +74,7 @@ class PriceVector:
         return sum((w for t, w in self.prices if t in bundle), Fraction(0))
 
 
-def _require_agent(instance: Instance, agent: int) -> None:
-    """Refuse an agent outside 0..n-1; a negative index would wrap around."""
-    if not 0 <= agent < instance.agents:
-        raise InstanceError(
-            f"agent {agent} out of range: the instance has agents "
-            f"0..{instance.agents - 1}"
-        )
-
-
 def prop_share(instance: Instance, agent: int) -> Fraction:
-    _require_agent(instance, agent)
     return instance.total_value(agent) / instance.agents
 
 

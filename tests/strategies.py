@@ -1,7 +1,8 @@
 """Hypothesis strategies shared by several test modules.
 
 Small instances and allocations, their JSON encodings, and malformed
-variants of those encodings for the decoders and the command line.
+variants of those encodings for the decoders and the command line; also a
+seeded draw of single-copy instances.
 """
 
 from fractions import Fraction
@@ -9,6 +10,25 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from fairdual.model import Allocation, Instance, ItemType, allocation_to_json, instance_to_json
+
+
+def single_copy_instance(rng, max_agents=4, max_types=5, orientation="goods"):
+    """`randgen.random_instance` with one copy of every type.
+
+    Agents, type count and values are drawn from `rng` in the generator's
+    order and ranges; only the copy counts are not drawn.
+    """
+    sign = 1 if orientation == "goods" else -1
+    agents = rng.randint(2, max(2, max_agents))
+    n_types = rng.randint(1, max_types)
+    return Instance(
+        agents=agents,
+        types=tuple(ItemType(f"t{pos + 1}", 1) for pos in range(n_types)),
+        values=tuple(
+            tuple(Fraction(sign * rng.randint(0, 9)) for _ in range(n_types))
+            for _ in range(agents)
+        ),
+    )
 
 
 @st.composite

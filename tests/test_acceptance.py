@@ -35,6 +35,7 @@ from fairdual.shares import (
     verify_mms_lower_bound,
 )
 from fairdual.sweep import SweepConfig, run_sweep
+from strategies import single_copy_instance
 
 
 @contextmanager
@@ -68,9 +69,10 @@ def doubled_types_instance():
     )
 
 
-def three_agent_instance(rng, **kwargs):
+def three_agent_instance(rng, single_copy=False, **kwargs):
+    draw = single_copy_instance if single_copy else random_instance
     while True:
-        instance = random_instance(rng, max_agents=3, **kwargs)
+        instance = draw(rng, max_agents=3, **kwargs)
         if instance.agents == 3:
             return instance
 

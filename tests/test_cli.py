@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fairdual import cli, fixtures
 from fairdual.cli import main
 from fairdual.model import allocation_to_json, instance_to_json
-from fairdual.sweep import SweepConfig, run_sweep
+from fairdual.sweep import SweepConfig, SweepViolation, run_sweep
 from strategies import corrupted, json_allocations, json_values
 
 
@@ -401,6 +401,20 @@ def test_sweep_text_reports_skipped_instances(capsys):
     skipped = run_sweep(SweepConfig(seed=3, count=15, plan_cap=5)).skipped
     assert skipped > 0
     assert f"{skipped} instances skipped (plan over 5)" in out
+
+
+def test_sweep_text_lists_each_violation_with_its_reproducer(monkeypatch, capsys):
+    report = run_sweep(SweepConfig(seed=3, count=2))
+    reproducer = {"agents": 2, "types": []}
+    violation = SweepViolation("bound", 1, "ef1_wc ratio 1/2 below 1", reproducer)
+    monkeypatch.setattr(cli, "run_sweep", lambda config: replace(report, violations=(violation,)))
+    assert main(["sweep", "--count", "2", "--seed", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "VIOLATION (bound) instance 1: ef1_wc ratio 1/2 below 1",
+        '  reproducer: {"agents": 2, "types": []}',
+        "violations found",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -17,9 +17,9 @@ from fairdual.criteria import (
     parse_notion,
 )
 from fairdual.model import Allocation, Instance, ItemType, bundle
-from fairdual.randgen import random_allocation, random_instance
+from fairdual.randgen import random_allocation
 from kernel_views import pair_eval
-from strategies import allocated_instances, signed_allocations
+from strategies import allocated_instances, signed_allocations, single_copy_instance
 
 
 def test_parse_notion():
@@ -34,6 +34,13 @@ def test_criterion_names_round_trip():
         for wc in (False, True):
             crit = ComparisonCriterion(base, "goods", wc)
             assert parse_notion(crit.notion) == (base, wc)
+
+
+def test_criteria_refuse_an_unknown_base_or_orientation():
+    with pytest.raises(ValueError, match="unknown base criterion 'efz'"):
+        ComparisonCriterion("efz")
+    with pytest.raises(ValueError, match="unknown orientation 'mixed'"):
+        ComparisonCriterion("ef", "mixed")
 
 
 def test_criterion_for_infers_orientation():
@@ -106,8 +113,7 @@ def test_without_commons_strips_shared_types():
 def test_ef_wc_equals_ef_on_disjoint_bundles():
     rng = random.Random(7)
     for _ in range(100):
-        instance = random_instance(rng, max_agents=3, max_types=4, orientation="goods",
-                                   single_copy=True)
+        instance = single_copy_instance(rng, max_agents=3, max_types=4)
         allocation = random_allocation(rng, instance)
         for base in BASES:
             plain = is_fair(instance, allocation,
@@ -141,8 +147,11 @@ def test_is_fair_rejects_orientation_mismatch():
     )
     allocation = Allocation.of(["a"], ["b"])
     crit = ComparisonCriterion("ef1", "chores", False)
-    with pytest.raises(OrientationError):
+    with pytest.raises(OrientationError, match="chores criterion on an instance that is not"):
         is_fair(goods, allocation, crit)
+    chores = Instance(goods.agents, goods.types, tuple((-a, -b) for a, b in goods.values))
+    with pytest.raises(OrientationError, match="goods criterion on an instance that is not"):
+        is_fair(chores, allocation, ComparisonCriterion("ef1", "goods"))
 
 
 def test_witnesses_are_lex_sorted_with_items():
@@ -222,3 +231,6 @@ def test_cancel_requires_actual_cycle():
         cancel_envy_cycle(instance, allocation, (0, 1))
     with pytest.raises(NotACycleError):
         cancel_envy_cycle(instance, allocation, (1, 1))
+    # An empty cycle rotates nothing.
+    assert cancel_envy_cycle(instance, allocation, ()) is allocation
+

@@ -130,3 +130,35 @@ def test_a_claim_without_its_allocation_raises():
         for wrong in (unknown, unnamed):
             with pytest.raises(KeyError):
                 replicate(replace(fixture, claims=(wrong,)))
+
+
+def _replicated(fixture_id: str, kind: str, **changes):
+    """The result of a fixture's first claim of `kind` that carries the changed keys."""
+    fixture = load_fixture(fixture_id)
+    claim = next(
+        claim
+        for claim in fixture.claims
+        if claim["kind"] == kind and changes.keys() <= claim.keys()
+    )
+    (result,) = replicate(replace(fixture, claims=(dict(claim, **changes),)))
+    return result
+
+
+def test_a_claim_fails_on_witnesses_a_checked_count_or_a_gain_that_differ():
+    """The verdict holds, yet another part of the claim does not."""
+    witnesses = _replicated("no-efx-four-types", "is_fair", witnesses=[[2, 0]])
+    assert not witnesses.passed
+    assert witnesses.detail == "witnesses [[2, 0], [2, 1]] != [[2, 0]]"
+    checked = _replicated("no-efx-four-types", "exists", checked=80)
+    assert not checked.passed
+    assert checked.detail == "checked 81 != 80"
+    # Agent 2 is off the cycle, so its bundle stays as it was.
+    gain = _replicated("cycle-cancel", "cancel_cycle", improves=[0, 2])
+    assert not gain.passed
+    assert gain.detail == "agent 2 does not strictly gain"
+
+
+def test_an_unknown_claim_kind_raises():
+    fixture = load_fixture("cycle-cancel")
+    with pytest.raises(FairdualError, match="fixture cycle-cancel: unknown claim kind 'nope'"):
+        replicate(replace(fixture, claims=({"kind": "nope"},)))

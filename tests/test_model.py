@@ -130,6 +130,11 @@ def test_instance_rejects_ragged_values():
             types=(ItemType("a", 1), ItemType("b", 1)),
             values=((Fraction(1),), (Fraction(1), Fraction(2))),
         )
+    types = (ItemType("a", 1),)
+    with pytest.raises(InstanceError, match="expected 2 valuation rows, got 1"):
+        Instance(agents=2, types=types, values=((Fraction(1),),))
+    with pytest.raises(InstanceError, match="value 1 is not a Fraction"):
+        Instance(agents=2, types=types, values=((Fraction(1),), (1,)))
 
 
 def test_orientation_classification():
@@ -337,20 +342,34 @@ def _package_files_naming(identifier: str) -> set:
     return users
 
 
-def test_only_model_and_duality_name_the_unvalidated_constructor():
-    """`Instance._unvalidated` skips validation, so only the dual may use it."""
-    assert _package_files_naming("_unvalidated") == {"model.py", "duality.py"}
+def test_only_model_builds_an_instance_without_validating_it():
+    """`object.__new__` skips `__post_init__`, so only `model` may call it,
+    and there only in `Instance._dual`: every instance is validated or is
+    the dual of one."""
+    assert _package_files_naming("__new__") == {"model.py"}
+    with open(model.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    builders = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+    }
+    assert builders == {"_dual"}
 
 
-def test_duality_builds_instances_only_through_the_unvalidated_constructor():
-    """Every dual is built one way: `duality` calls `Instance._unvalidated`
-    and never the validating `Instance(...)`."""
+def test_only_duality_calls_the_dual_constructor():
+    """Besides `model`, which defines `Instance._dual`, only `duality` names
+    it, and every dual is built one way: `duality` never calls the
+    validating `Instance(...)`."""
+    assert _package_files_naming("_dual") == {"model.py", "duality.py"}
     package = os.path.dirname(os.path.abspath(model.__file__))
     with open(os.path.join(package, "duality.py"), encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), filename="duality.py")
     callees = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
     assert "Instance" not in callees
-    assert "Instance._unvalidated" in callees
+    assert "instance._dual" in callees
 
 
 def test_only_model_and_duality_name_the_validity_mark():
@@ -486,6 +505,30 @@ def test_validate_allocation_catches_copy_mismatch():
     with pytest.raises(InstanceError) as refused:
         require_valid(instance, short)
     assert str(refused.value) == "; ".join(problems)
+
+
+def test_a_non_string_name_is_an_unknown_type():
+    """Names that do not sort together are listed in repr order, not a TypeError."""
+    instance = Instance(
+        agents=3,
+        types=(ItemType("a", 1), ItemType("b", 2)),
+        values=((Fraction(1), Fraction(2)),) * 3,
+    )
+    allocation = Allocation.of(["a", 1], ["b"], ["b"])
+    message = "bundle 0 holds unknown type 1"
+    assert validate_allocation(instance, allocation) == (message,)
+    mixed = Allocation.of(["a", 1, "z"], ["b"], ["b"])
+    assert validate_allocation(instance, mixed) == (
+        "bundle 0 holds unknown type 'z'", message,
+    )
+    criterion = ComparisonCriterion("ef", "goods")
+    for call in (
+        lambda: require_valid(instance, allocation),
+        lambda: is_fair(instance, allocation, criterion),
+        lambda: dualize(instance, allocation),
+    ):
+        with pytest.raises(InstanceError, match=f"^{message}$"):
+            call()
 
 
 def test_validate_allocation_bundle_count():

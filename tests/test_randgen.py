@@ -30,8 +30,6 @@ def test_orientation_flags():
         assert goods.goods_pure
         chores = random_instance(rng, orientation="chores")
         assert chores.chores_pure
-        single = random_instance(rng, single_copy=True)
-        assert all(t.copies == 1 for t in single.types)
 
 
 def test_random_allocations_are_valid():

@@ -154,6 +154,8 @@ def test_exists_budget_semantics():
         exists_fair(instance, criterion, budget=witness_index)
     with pytest.raises(BudgetExceededError):
         exists_fair(instance, ComparisonCriterion("efx", "goods"), budget=80)
+    with pytest.raises(BudgetExceededError, match="no fair allocation within budget 0"):
+        exists_fair(instance, criterion, budget=0)
 
 
 def single_copy_pair(row):
@@ -300,6 +302,28 @@ def test_skipping_keeps_every_answer_of_the_full_sweep(instance, data):
     assert certificate.checked == (total if first is None else first + 1)
     assert certificate.witness == (None if first is None else plan[first])
     assert count_fair(instance, criterion) == (sum(fair), certificate.witness)
+
+
+@settings(max_examples=120, deadline=None)
+@given(skip_instances(), st.data())
+def test_no_refutation_covers_the_whole_plan(instance, data):
+    """A failing pair passes its fully favourable completion, so every
+    refutation climbs to a type's depth, never past the root."""
+    criterion = ComparisonCriterion(
+        data.draw(st.sampled_from(BASES)), instance.orientation(), data.draw(st.booleans())
+    )
+    depths = []
+    refuted_depth = search._refuted_depth
+
+    def recording(*args):
+        depths.append(refuted_depth(*args))
+        return depths[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_refuted_depth", recording)
+        exists_fair(instance, criterion)
+        count_fair(instance, criterion)
+    assert all(depth >= 0 for depth in depths)
 
 
 def test_a_failing_pair_skips_its_subtree(monkeypatch):

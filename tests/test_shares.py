@@ -20,6 +20,7 @@ from fairdual import shares
 from fairdual.criteria import OrientationError
 from fairdual.duality import dualize
 from fairdual.fixtures import load_fixture
+from fairdual.leveled import leveled_counterexample
 from fairdual.model import (
     Allocation,
     BudgetExceededError,
@@ -111,6 +112,27 @@ def test_mms_budget_guard():
     message = r"enumeration budget 80 exhausted with allocations remaining \(plan size 81\)"
     with pytest.raises(BudgetExceededError, match=message):
         mms_share(instance, 0, budget=80)
+
+
+def test_aps_refuses_more_free_types_than_its_enumeration_limit():
+    free = shares.MAX_FREE_TYPES + 1
+    instance = Instance(
+        agents=2,
+        types=tuple(ItemType(f"t{k}", 1) for k in range(free)),
+        values=((Fraction(1),) * free,) * 2,
+    )
+    message = f"{free} free types exceed the {shares.MAX_FREE_TYPES}-type bundle"
+    with pytest.raises(BudgetExceededError, match=message):
+        aps_share(instance, 0)
+
+
+def test_price_vectors_sum_to_one_without_negative_prices():
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="prices sum to 1/2, not 1"):
+        PriceVector((("a", half),), half)
+    with pytest.raises(ValueError, match="negative price"):
+        PriceVector((("a", Fraction(2)), ("b", Fraction(-1))), half)
+    assert PriceVector((("a", half), ("b", half)), half).weight({"a"}) == half
 
 
 def test_mms_budget_is_checked_before_the_plan_is_built(monkeypatch):
@@ -443,6 +465,11 @@ def test_per_agent_shares_refuse_agents_out_of_range(agent):
     witness = Allocation.of({"t1", "t2", "t3", "t4"}, {"t1", "t2"}, {"t3", "t4"})
     message = rf"agent {agent} out of range: the instance has agents 0\.\.2"
     calls = (
+        lambda: instance.value(agent, "t1"),
+        lambda: instance.bundle_value(agent, ()),
+        lambda: instance.total_value(agent),
+        lambda: instance.typeset_value(agent),
+        lambda: leveled_counterexample(instance, agent),
         lambda: prop_share(instance, agent),
         lambda: mms_share(instance, agent),
         lambda: tps_share(instance, agent),
