@@ -208,7 +208,6 @@ class FairnessReport:
     """Verdict of a fairness check plus every violating pair."""
 
     fair: bool
-    notion: ComparisonCriterion
     witnesses: tuple = ()
 
 
@@ -239,9 +238,7 @@ def is_fair(
             if i != j and not criterion_eval(criterion, row, masks[i], mask):
                 item = _offending_item(criterion, instance, row, masks[i], mask)
                 witnesses.append(Witness(i, j, item))
-    return FairnessReport(
-        fair=not witnesses, notion=criterion, witnesses=tuple(witnesses)
-    )
+    return FairnessReport(fair=not witnesses, witnesses=tuple(witnesses))
 
 
 def envy_graph(instance: Instance, allocation: Allocation) -> frozenset:

@@ -39,7 +39,6 @@ from .shares import (
 @dataclass(frozen=True)
 class Fixture:
     id: str
-    title: str
     instance: Instance
     allocations: dict
     claims: tuple
@@ -83,7 +82,6 @@ def load_fixture(fixture_id: str) -> Fixture:
     }
     return Fixture(
         id=data["id"],
-        title=data["title"],
         instance=instance,
         allocations=allocations,
         claims=tuple(data["claims"]),

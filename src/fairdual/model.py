@@ -160,6 +160,12 @@ class Instance:
         object.__setattr__(
             self, "values", tuple(tuple(row) for row in self.values)
         )
+        for t in self.types:
+            if not isinstance(t, ItemType):
+                raise InstanceError(f"type must be an ItemType, got {t!r}")
+            # Before the name set below: an unhashable name would fail there.
+            if not isinstance(t.name, str):
+                raise InstanceError(f"type name must be a string, got {t.name!r}")
         names = [t.name for t in self.types]
         if len(set(names)) != len(names):
             raise InstanceError("duplicate type names")
@@ -300,10 +306,10 @@ class Instance:
 
 
 def _require_agent(instance: Instance, agent: int) -> None:
-    """Refuse an agent outside 0..n-1; a negative index would wrap around."""
-    if not 0 <= agent < instance.agents:
+    """Refuse an agent that is not an int in 0..n-1: a bool, or a negative index that would wrap."""
+    if not _is_count(agent) or not 0 <= agent < instance.agents:
         raise InstanceError(
-            f"agent {agent} out of range: the instance has agents "
+            f"agent {agent!r} out of range: the instance has agents "
             f"0..{instance.agents - 1}"
         )
 

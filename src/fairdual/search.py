@@ -4,9 +4,14 @@ The enumeration strategy is deterministic and seedless: for each type,
 choose which agents receive a copy (subsets in lexicographic order), and
 walk the cartesian product with the first type most significant. One lazy
 walk, always from position 0, serves every caller: it keeps one subset
-iterator per type, so memory does not grow with the plan and every budget
-is checked before any work. Every certificate produced from it is
-therefore reproducible bit for bit.
+iterator per type, so memory does not grow with the plan. Every
+certificate produced from it is therefore reproducible bit for bit.
+
+Budgets (default DEFAULT_ENUM_CAP) follow two rules. A caller that needs
+the whole plan (`count_fair`, `max_nash_welfare`, `shares.mms_share`)
+refuses a plan larger than its budget before any work. `exists_fair`
+walks at most `budget` plan positions and refuses only if it found no
+fair allocation among them.
 
 The walk yields per-agent type masks and own-bundle totals on the integer
 rows of `Instance.kernel`, which an instance compiles once and keeps, and
@@ -36,7 +41,7 @@ from .criteria import (
     require_orientation,
 )
 from .duality import dualize
-from .model import Allocation, BudgetExceededError, Instance, OrientationError
+from .model import Allocation, BudgetExceededError, Instance, OrientationError, _is_count
 
 # Hard default on allocations examined per exhaustive operation.
 DEFAULT_ENUM_CAP = 50_000_000
@@ -92,21 +97,6 @@ def _walk(instance: Instance) -> Iterator[tuple]:
             return
 
 
-def enumerate_allocations(
-    instance: Instance, budget: Optional[int] = None
-) -> Iterator[Allocation]:
-    """Stream every complete exclusive allocation in plan order.
-
-    The stream is lazy: nothing is built ahead of the allocation it yields.
-    Raises BudgetExceededError if the stream would pass the budget
-    (default DEFAULT_ENUM_CAP) with allocations still unvisited.
-    """
-    cap = DEFAULT_ENUM_CAP if budget is None else budget
-    for _, (masks, _) in zip(range(cap), _walk(instance)):
-        yield Allocation(_bundles(instance, masks))
-    _require_within_budget(instance, budget)
-
-
 def _require_within_budget(instance: Instance, budget: Optional[int]) -> None:
     """Refuse a plan larger than the budget (default DEFAULT_ENUM_CAP)."""
     cap = DEFAULT_ENUM_CAP if budget is None else budget
@@ -125,8 +115,8 @@ def allocation_at(instance: Instance, index: int) -> Allocation:
     lexicographic rank of that type's holder set among the agents' k-subsets.
     """
     total = plan_total(instance)
-    if not 0 <= index < total:
-        raise IndexError(f"index {index} outside plan of size {total}")
+    if not _is_count(index) or not 0 <= index < total:
+        raise IndexError(f"index {index!r} outside plan of size {total}")
     n, masks = instance.agents, [0] * instance.agents
     for pos in reversed(range(len(instance.types))):
         k = instance.types[pos].copies
@@ -154,7 +144,6 @@ class ExistenceCertificate:
     """
 
     exists: bool
-    notion: ComparisonCriterion
     witness: Optional[Allocation]
     checked: int
     plan_total: int
@@ -273,7 +262,6 @@ def exists_fair(
         index, masks = found
         return ExistenceCertificate(
             exists=True,
-            notion=criterion,
             witness=Allocation(_bundles(instance, masks)),
             checked=index + 1,
             plan_total=total,
@@ -285,7 +273,6 @@ def exists_fair(
         )
     return ExistenceCertificate(
         exists=False,
-        notion=criterion,
         witness=None,
         checked=total,
         plan_total=total,
@@ -313,9 +300,7 @@ def count_fair(
     return 1 + sum(1 for _ in fair), witness
 
 
-def check_chores_characterization(
-    instance: Instance, budget: Optional[int] = None
-) -> bool:
+def check_chores_characterization(instance: Instance) -> bool:
     """Single-copy chores: EFX exists here iff EFX_WC exists on the dual.
 
     The dual instance has the negated values with n-1 copies of every type.
@@ -326,14 +311,9 @@ def check_chores_characterization(
         raise OrientationError("characterization applies to chores-pure instances")
     if any(t.copies != 1 for t in instance.types):
         raise ValueError("characterization applies to single-copy instances")
-    chores_side = exists_fair(
-        instance, ComparisonCriterion("efx", "chores"), budget=budget
-    )
-    dual = dualize(instance)
+    chores_side = exists_fair(instance, ComparisonCriterion("efx", "chores"))
     goods_side = exists_fair(
-        dual.instance,
-        ComparisonCriterion("efx", "goods", without_commons=True),
-        budget=budget,
+        dualize(instance).instance, ComparisonCriterion("efx", "goods", without_commons=True)
     )
     return chores_side.exists == goods_side.exists
 

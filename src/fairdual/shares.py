@@ -368,10 +368,7 @@ def share_value(
 
 
 def check_share_duality(
-    instance: Instance,
-    share: str,
-    budget: Optional[int] = None,
-    entitlement: Optional[Fraction] = None,
+    instance: Instance, share: str, entitlement: Optional[Fraction] = None
 ) -> bool:
     """Proportional, maximin and anyprice shares shift by the typeset value under duality.
 
@@ -388,8 +385,8 @@ def check_share_duality(
         dual_entitlement = 1 - b
     dual = dualize(instance).instance
     for i in range(instance.agents):
-        primal = share_value(instance, share, i, entitlement, budget).value
-        mirrored = share_value(dual, share, i, dual_entitlement, budget).value
+        primal = share_value(instance, share, i, entitlement).value
+        mirrored = share_value(dual, share, i, dual_entitlement).value
         if primal != mirrored + instance.typeset_value(i):
             return False
     return True

@@ -121,6 +121,14 @@ def test_instance_rejects_duplicate_type_names():
             types=(ItemType("a", 1), ItemType("a", 1)),
             values=((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))),
         )
+    # What the JSON codec refuses, the constructor refuses with its message.
+    one = ((Fraction(1),), (Fraction(1),))
+    with pytest.raises(InstanceError, match="type name must be a string, got 1"):
+        Instance(agents=2, types=(ItemType(1, 1),), values=one)
+    with pytest.raises(InstanceError, match=r"type name must be a string, got \['a'\]"):
+        Instance(agents=2, types=(ItemType(["a"], 1),), values=one)
+    with pytest.raises(InstanceError, match=r"type must be an ItemType, got \('a', 1\)"):
+        Instance(agents=2, types=(("a", 1),), values=one)
 
 
 def test_instance_rejects_ragged_values():

@@ -38,7 +38,6 @@ from fairdual.search import (
     allocation_at,
     check_chores_characterization,
     count_fair,
-    enumerate_allocations,
     exists_fair,
     max_nash_welfare,
     plan_total,
@@ -72,24 +71,23 @@ def test_plan_total_single_type():
             values=tuple((Fraction(1),) for _ in range(n)),
         )
         assert plan_total(instance) == n
-        assert len(list(enumerate_allocations(instance))) == n
+        assert len(walk_bundles(instance)) == n
 
 
 def test_stream_is_complete_and_duplicate_free():
     instance = section_instance()
-    seen = list(enumerate_allocations(instance))
+    seen = walk_bundles(instance)
     assert len(seen) == 81
     assert len(set(seen)) == 81
 
 
 def test_stream_order_matches_allocation_at():
     instance = section_instance()
-    for index, allocation in enumerate(enumerate_allocations(instance)):
-        assert allocation_at(instance, index) == allocation
-    with pytest.raises(IndexError):
-        allocation_at(instance, 81)
-    with pytest.raises(IndexError):
-        allocation_at(instance, -1)
+    for index, bundles in enumerate(walk_bundles(instance)):
+        assert allocation_at(instance, index).bundles == bundles
+    for index in (81, -1, 1.5, True):
+        with pytest.raises(IndexError, match=f"index {index!r} outside plan of size 81"):
+            allocation_at(instance, index)
 
 
 def test_stream_starts_with_lowest_agent_subsets():
@@ -106,19 +104,12 @@ def test_dual_stream_is_image_of_primal_stream():
         instance = random_instance(rng, max_agents=3, max_types=3)
         dual_instance = dualize(instance).instance
         mapped = {
-            dualize(instance, allocation).allocation
-            for allocation in enumerate_allocations(instance)
+            dualize(instance, Allocation(bundles)).allocation.bundles
+            for bundles in walk_bundles(instance)
         }
-        direct = set(enumerate_allocations(dual_instance))
+        direct = set(walk_bundles(dual_instance))
         assert mapped == direct
         assert len(mapped) == plan_total(instance)
-
-
-def test_enumerate_budget_error():
-    instance = section_instance()
-    with pytest.raises(BudgetExceededError):
-        list(enumerate_allocations(instance, budget=80))
-    assert len(list(enumerate_allocations(instance, budget=81))) == 81
 
 
 def test_exists_refutation_sweeps_whole_plan():
@@ -209,7 +200,6 @@ def test_walk_matches_the_reference_plan(instance, data):
     reference = list(plan_bundles(instance))
     total = plan_total(instance)
     assert len(reference) == total
-    assert [a.bundles for a in enumerate_allocations(instance)] == reference
     assert walk_bundles(instance) == reference
     for index in {0, total - 1, data.draw(st.integers(0, total - 1))}:
         assert allocation_at(instance, index).bundles == reference[index]
@@ -382,10 +372,7 @@ def test_l20_walk_is_lazy():
     assert plan_total(instance) > 10**11
     first = allocation_at(instance, 0)
     assert len(first.bundles) == instance.agents
-    stream = enumerate_allocations(instance, budget=10)
-    assert len(list(islice(stream, 10))) == 10
-    with pytest.raises(BudgetExceededError):
-        next(stream)
+    assert len(list(islice(search._walk(instance), 10))) == 10
 
 
 def test_l20_exists_stays_within_600_mb(tmp_path):
@@ -429,7 +416,7 @@ def test_count_fair_matches_stream_filter():
         count, witness = count_fair(instance, criterion)
         manual = [
             allocation
-            for allocation in enumerate_allocations(instance)
+            for allocation in map(Allocation, plan_bundles(instance))
             if is_fair(instance, allocation, criterion).fair
         ]
         assert count == len(manual)

@@ -459,7 +459,7 @@ def test_aps_entitlement_validation():
         aps_share(pair, 0, Fraction(3, 2))
 
 
-@pytest.mark.parametrize("agent", [-1, 3])
+@pytest.mark.parametrize("agent", [-1, 3, 1.5, True])
 def test_per_agent_shares_refuse_agents_out_of_range(agent):
     instance = section_instance()
     witness = Allocation.of({"t1", "t2", "t3", "t4"}, {"t1", "t2"}, {"t3", "t4"})
