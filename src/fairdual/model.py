@@ -270,7 +270,7 @@ class Instance:
     def position(self, name: str) -> int:
         try:
             return self.index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownTypeError(f"unknown type {name!r}") from None
 
     def value(self, agent: int, name: str) -> Fraction:

@@ -3,9 +3,12 @@
 The enumeration strategy is deterministic and seedless: for each type,
 choose which agents receive a copy (subsets in lexicographic order), and
 walk the cartesian product with the first type most significant. One lazy
-walk, always from position 0, serves every caller: it keeps one subset
-iterator per type, so memory does not grow with the plan. Every
-certificate produced from it is therefore reproducible bit for bit.
+walk, always from position 0, serves existence, counting and the sweep: it
+keeps one subset iterator per type, so memory does not grow with the plan.
+Nash welfare walks no plan: its product depends only on the agents' own
+totals, so a dynamic program over types keeps one state per distinct tuple
+of totals, holding the plan position of the first prefix that reaches it.
+Every certificate is therefore reproducible bit for bit.
 
 Budgets (default DEFAULT_ENUM_CAP) follow two rules. A caller that needs
 the whole plan (`count_fair`, `max_nash_welfare`, `shares.mms_share`)
@@ -30,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Iterator, Optional
 
 from .criteria import (
@@ -321,19 +325,35 @@ def check_chores_characterization(instance: Instance) -> bool:
 def max_nash_welfare(
     instance: Instance, budget: Optional[int] = None
 ) -> tuple:
-    """Exhaustive Nash welfare maximizer for a goods-pure instance.
+    """Exact Nash welfare maximizer for a goods-pure instance.
 
     Returns (allocation, product of own-bundle values). Ties keep the first
-    maximizer in plan order. Products of integer totals keep that maximizer,
+    maximizer in plan order. The product depends only on the agents' own
+    totals on the integer kernel rows, so a dynamic program over types keeps
+    one state per distinct tuple of totals: the plan index of the first
+    prefix reaching it. Parents grow in insertion order and holder sets in
+    rank order, and a state keeps its first index, so insertion order is
+    plan order and `max` returns the first maximizer, which `allocation_at`
+    decodes. No layer outgrows its prefix plan, so a plan over the budget is
+    refused before any work. Products of integer totals keep that maximizer,
     since every row scale is positive; the value divides by their product.
     """
     if not instance.goods_pure:
         raise OrientationError("Nash welfare maximization expects a goods-pure instance")
     _require_within_budget(instance, budget)
-    best, best_welfare = None, -1  # every product is >= 0 on goods
-    for masks, own in _walk(instance):
-        welfare = math.prod(own)
-        if welfare > best_welfare:
-            best, best_welfare = tuple(masks), welfare
-    welfare = Fraction(best_welfare, math.prod(instance.kernel.scales))
-    return Allocation(_bundles(instance, best)), welfare
+    n = instance.agents
+    layer = {(0,) * n: 0}
+    for t, column in zip(instance.types, zip(*instance.kernel.rows)):
+        steps = [
+            tuple(column[a] if a in holders else 0 for a in range(n))
+            for holders in combinations(range(n), t.copies)
+        ]
+        grown = {}
+        for totals, index in layer.items():
+            first = index * len(steps)
+            for rank, step in enumerate(steps):
+                grown.setdefault(tuple(map(add, totals, step)), first + rank)
+        layer = grown
+    best = max(layer, key=math.prod)
+    welfare = Fraction(math.prod(best), math.prod(instance.kernel.scales))
+    return allocation_at(instance, layer[best]), welfare

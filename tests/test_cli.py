@@ -670,6 +670,26 @@ def test_imports_sit_at_module_level_and_form_no_cycle():
             del graph[module]
 
 
+def test_only_the_fairness_scan_and_the_sweep_walk_the_plan():
+    """Nash welfare is a program over own totals, not a plan walk: only
+    `search._fair_indices` and `sweep.run_sweep` call `_walk`, and
+    `max_nash_welfare` does not name it."""
+    callers = set()
+    for name, tree in _package_modules():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            named = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+            if func.name == "max_nash_welfare":
+                assert "_walk" not in named, name
+            if any(
+                isinstance(node, ast.Call) and ast.unparse(node.func) == "_walk"
+                for node in ast.walk(func)
+            ):
+                callers.add((name, func.name))
+    assert callers == {("search.py", "_fair_indices"), ("sweep.py", "run_sweep")}
+
+
 def test_no_module_imports_os_or_reads_the_environment():
     """Options come from arguments only, so nothing outside the command line changes a verdict."""
     for name, tree in _package_modules():

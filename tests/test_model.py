@@ -502,6 +502,17 @@ def test_value_accessors():
         instance.position("nope")
 
 
+def test_an_unhashable_name_is_an_unknown_type():
+    instance = three_agent_instance()
+    for call in (
+        lambda: instance.position(["t1"]),
+        lambda: instance.value(0, ["t1"]),
+        lambda: instance.bundle_value(0, [["t1"]]),
+    ):
+        with pytest.raises(UnknownTypeError, match=r"^unknown type \['t1'\]$"):
+            call()
+
+
 def test_validate_allocation_catches_copy_mismatch():
     instance = three_agent_instance()
     good = Allocation.of(["t1", "t2", "t4"], ["t3", "t4"], ["t1", "t2", "t3"])

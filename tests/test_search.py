@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from kernel_views import walk_bundles
 from plan_reference import plan_bundles
@@ -159,13 +159,19 @@ def single_copy_pair(row):
 
 
 def test_whole_plan_consumers_refuse_before_walking(monkeypatch):
+    """Neither the walk nor the Nash welfare program, which enumerates
+    holder sets first, starts on a plan larger than the budget."""
     instance = section_instance()
     criterion = ComparisonCriterion("efx", "goods", without_commons=True)
 
     def no_walk(*args):
         raise AssertionError("walked a plan larger than the budget")
 
+    def no_holder_sets(*args):
+        raise AssertionError("holder sets enumerated before the budget check")
+
     monkeypatch.setattr(search, "_walk", no_walk)
+    monkeypatch.setattr(search, "combinations", no_holder_sets)
     message = (
         r"enumeration budget 80 exhausted with allocations remaining \(plan size 81\)"
     )
@@ -484,6 +490,57 @@ def test_max_nash_welfare_prefers_balanced_split():
     allocation, welfare = max_nash_welfare(instance)
     assert welfare == 9
     assert {len(b) for b in allocation.bundles} == {1}
+
+
+@st.composite
+def nash_instances(draw):
+    """1-4 agents, 0-6 goods (full-copy ones too) with zeros and ties; values
+    over denominators 1..7, so row scales differ; plan <= 3000."""
+    n = draw(st.integers(1, 4))
+    copies = draw(st.lists(st.integers(1, n), max_size=6))
+    while math.prod(math.comb(n, c) for c in copies) > 3000:
+        copies.pop()
+    return Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate(copies)),
+        values=tuple(
+            tuple(
+                Fraction(draw(st.integers(0, 4)), draw(st.integers(1, 7))) for _ in copies
+            )
+            for _ in range(n)
+        ),
+    )
+
+
+def reference_max_nash_welfare(instance):
+    """(plan index, welfare) of the first maximizer, by Fraction products over the plan."""
+    best, best_welfare = None, Fraction(-1)
+    for index, bundles in enumerate(plan_bundles(instance)):
+        welfare = math.prod(
+            (instance.bundle_value(a, b) for a, b in enumerate(bundles)), start=Fraction(1)
+        )
+        if welfare > best_welfare:
+            best, best_welfare = index, welfare
+    return best, best_welfare
+
+
+@settings(max_examples=200, deadline=None)
+@given(nash_instances())
+@example(Instance(agents=3, types=(), values=((),) * 3))
+@example(
+    Instance(
+        agents=3,
+        types=(ItemType("a", 1), ItemType("b", 3), ItemType("c", 2)),
+        values=((Fraction(0),) * 3,) * 3,
+    )
+)
+def test_max_nash_welfare_matches_the_fraction_reference(instance):
+    """The first maximizer in plan order and its welfare; where every
+    product is zero, plan position 0 wins."""
+    index, welfare = reference_max_nash_welfare(instance)
+    if welfare == 0:
+        assert index == 0
+    assert max_nash_welfare(instance) == (allocation_at(instance, index), welfare)
 
 
 def test_max_nash_welfare_rejects_chores():
