@@ -18,9 +18,15 @@ factor, so no comparison changes). Chores tests read it negated, as
 `Instance.chores_rows`, also built once per instance; a bundle is a mask
 with bit p set for the type at position p.
 `criterion_eval` strips with `a & ~b` / `b & ~a`, swaps the sides for
-chores and decides a goods base on the row's entries at the bits. It walks
-each side's bits once, summing them and, on the other side, tracking the
-largest (EF1) or smallest (EFX) entry; only EFL lists the other side.
+chores and decides a goods base on the row's entries at the bits. It takes
+a row in either of two forms. On a kernel row it walks each side's bits
+once, summing them and, on the other side, tracking the largest (EF1) or
+smallest (EFX) entry; only EFL lists the other side. A plan walk tests
+thousands of allocations against the same rows, so `_table_rows` compiles
+them once per walk into `HalfTables`: subset tables over the low and the
+high half of the positions (the meet-in-the-middle split of Horowitz and
+Sahni, 1974). On those a side's sum, and the other side's least or largest
+entry, take two lookups each.
 """
 
 from __future__ import annotations
@@ -128,15 +134,113 @@ def _bundles(instance: Instance, masks) -> tuple:
     return tuple(frozenset(_entries(instance.type_names(), m)) for m in masks)
 
 
+# Widest half, in type positions, that `_table_rows` compiles: 2**12 entries
+# per table, so a walk over at most 24 types reads tables and a wider one the
+# kernel rows.
+HALF_BITS = 12
+
+
+def _subset_sums(items):
+    """Sum of every subset of the items, indexed by bitmask."""
+    sums = [0]
+    for item in items:
+        sums += [s + item for s in sums]
+    return sums
+
+
+def _least_items(items, empty=None):
+    """Least item of every subset, indexed by bitmask.
+
+    The empty subset's is `empty`, by default the items' sum plus one, which
+    exceeds every item when none is negative.
+    """
+    least = [sum(items) + 1 if empty is None else empty]
+    for item in items:
+        least += [x if x < item else item for x in least]
+    return least
+
+
+def _largest_items(items):
+    """Largest item of every subset, indexed by bitmask; the empty subset's is 0."""
+    largest = [0]
+    for item in items:
+        largest += [x if x > item else item for x in largest]
+    return largest
+
+
+class HalfTables:
+    """One non-negative row as subset tables over two halves of the positions.
+
+    The low half holds the first `cut` positions (ceil(T/2) of T), the high
+    half the rest. A mask's sum is `low_sums[mask & low] + high_sums[mask >>
+    cut]`. For EFX, `low_spared`/`high_spared` hold each half-subset's least
+    entry (an empty half's exceeds every entry); for EF1, its largest (an
+    empty half's is 0); EF reads neither and leaves them None.
+    """
+
+    __slots__ = ("cut", "low", "low_sums", "high_sums", "low_spared", "high_spared")
+
+    def __init__(self, row, base: str):
+        self.cut = (len(row) + 1) // 2
+        self.low = (1 << self.cut) - 1
+        low, high = row[: self.cut], row[self.cut :]
+        self.low_sums, self.high_sums = _subset_sums(low), _subset_sums(high)
+        self.low_spared = self.high_spared = None
+        if base == "efx":
+            # One empty-half entry above every entry of the row.
+            empty = sum(row) + 1
+            self.low_spared = _least_items(low, empty)
+            self.high_spared = _least_items(high, empty)
+        elif base == "ef1":
+            self.low_spared, self.high_spared = _largest_items(low), _largest_items(high)
+
+
+def _table_rows(instance: Instance, criterion: ComparisonCriterion) -> Sequence:
+    """Per agent, the criterion's row from `_rows` compiled for a plan walk.
+
+    Each becomes a HalfTables holding the tables the criterion's base reads,
+    built per call and kept by no instance. The walks call it after
+    `require_orientation`, so no row has a negative entry, as the tables'
+    empty-half entries assume. EFL reads no table and a half wider than
+    HALF_BITS would be too large, so those keep the kernel rows, which
+    `criterion_eval` reads as well.
+    """
+    rows = _rows(instance, criterion.orientation)
+    if criterion.base == "efl" or len(instance.types) > 2 * HALF_BITS:
+        return rows
+    return [HalfTables(row, criterion.base) for row in rows]
+
+
+def _total(row, mask: int) -> int:
+    """The sum of a `_rows` or `_table_rows` row over the positions in mask."""
+    if type(row) is HalfTables:
+        return row.low_sums[mask & row.low] + row.high_sums[mask >> row.cut]
+    return sum(_entries(row, mask))
+
+
 def criterion_eval(criterion: ComparisonCriterion, row, mask_i: int, mask_u: int) -> bool:
     """Whether the criterion accepts mask_i against mask_u for the agent of `row`.
 
-    `row` comes from `_rows` for the criterion's orientation.
+    `row` comes from `_rows` for the criterion's orientation, or from
+    `_table_rows`; on a HalfTables each side costs two table lookups.
     """
     if criterion.without_commons:
         mask_i, mask_u = mask_i & ~mask_u, mask_u & ~mask_i
     if criterion.orientation == "chores":
         mask_i, mask_u = mask_u, mask_i
+    if type(row) is HalfTables:
+        low, cut, low_sums, high_sums = row.low, row.cut, row.low_sums, row.high_sums
+        lo, hi = mask_u & low, mask_u >> cut
+        # How far the other side's sum exceeds the own side's.
+        gap = low_sums[lo] + high_sums[hi] - low_sums[mask_i & low] - high_sums[mask_i >> cut]
+        base = criterion.base
+        if base == "ef":
+            return gap <= 0
+        # EFX forgives the least entry: the gap is at most both halves' least.
+        # EF1 forgives the largest: the gap is at most either half's largest.
+        if base == "efx":
+            return gap <= row.low_spared[lo] and gap <= row.high_spared[hi]
+        return gap <= row.low_spared[lo] or gap <= row.high_spared[hi]
     mine = 0
     while mask_i:
         low = mask_i & -mask_i

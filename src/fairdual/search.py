@@ -16,15 +16,16 @@ refuses a plan larger than its budget before any work. `exists_fair`
 walks at most `budget` plan positions and refuses only if it found no
 fair allocation among them.
 
-The walk yields per-agent type masks and own-bundle totals on the integer
-rows of `Instance.kernel`, which an instance compiles once and keeps, and
-updates both for a changed type's old and new holders only. It can also
-skip the rest of the subtree under a prefix of types. Existence and
-counting skip each subtree in which a failing pair fails everywhere (see
-`_refuted_depth`), so a certificate's `checked` is a plan position: every
-allocation before it was either examined or lies in a subtree a failing
-pair refutes. A "not exists" verdict covers the whole plan the same way.
-Only the allocation a caller reports is decoded.
+The walk yields per-agent type masks, updated for a changed type's old
+and new holders only. It can also skip the rest of the subtree under a
+prefix of types. Existence and counting test pairs on the rows of
+`Instance.kernel` compiled once per call by `criteria._table_rows` into
+half-row subset tables, which no instance keeps. They skip each subtree
+in which a failing pair fails everywhere (see `_refuted_depth`), so a
+certificate's `checked` is a plan position: every allocation before it
+was either examined or lies in a subtree a failing pair refutes. A "not
+exists" verdict covers the whole plan the same way. Only the allocation a
+caller reports is decoded.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from typing import Iterator, Optional
 from .criteria import (
     ComparisonCriterion,
     _bundles,
-    _entries,
-    _rows,
+    _table_rows,
     criterion_eval,
     require_orientation,
 )
@@ -56,27 +56,23 @@ def plan_total(instance: Instance) -> int:
     return math.prod(math.comb(instance.agents, t.copies) for t in instance.types)
 
 
-def _walk(instance: Instance) -> Iterator[tuple]:
-    """Yield (masks, own) per allocation in plan order.
+def _walk(instance: Instance) -> Iterator[list]:
+    """Yield the per-agent type masks of each allocation in plan order.
 
-    `masks[a]` has bit p set when agent a holds the type at position p, and
-    `own[a]` is agent a's kernel row summed over `masks[a]`. Both are the
-    walk's own lists, changed in place by the next step: copy them to keep
-    them. `walk.send(d)` skips the rest of the subtree under the current
+    `masks[a]` has bit p set when agent a holds the type at position p. The
+    list is the walk's own, changed in place by the next step: copy it to
+    keep it. `walk.send(d)` skips the rest of the subtree under the current
     prefix of types 0..d and yields the first allocation after it; d = -1
     ends the walk. A plain `next` is `send(len(types) - 1)`.
     """
     n = instance.agents
     types = instance.types
-    rows = instance.kernel.rows
     subsets = [combinations(range(n), t.copies) for t in types]
     choice = [next(it) for it in subsets]
     masks = [sum(1 << p for p, h in enumerate(choice) if a in h) for a in range(n)]
-    own = [sum(_entries(row, m)) for row, m in zip(rows, masks)]
-    columns = list(zip(*rows))
     last = len(types) - 1
     while True:
-        depth = yield masks, own
+        depth = yield masks
         if depth is None:
             depth = last
         # Odometer step at `depth`: types after it restart, and a spent type
@@ -87,13 +83,11 @@ def _walk(instance: Instance) -> Iterator[tuple]:
                 subsets[pos] = combinations(range(n), types[pos].copies)
             new = holders or next(subsets[pos])
             # The bit flips for the old and the new holders; one in both keeps it.
-            bit, column = 1 << pos, columns[pos]
+            bit = 1 << pos
             for agent in choice[pos]:
                 masks[agent] ^= bit
-                own[agent] -= column[agent]
             for agent in new:
                 masks[agent] ^= bit
-                own[agent] += column[agent]
             choice[pos] = new
             if holders is not None:
                 break
@@ -101,9 +95,21 @@ def _walk(instance: Instance) -> Iterator[tuple]:
             return
 
 
+def _cap(budget: Optional[int]) -> int:
+    """The budget's cap on plan positions: DEFAULT_ENUM_CAP for None.
+
+    Anything but None or a non-negative int (a bool is no count) is refused.
+    """
+    if budget is None:
+        return DEFAULT_ENUM_CAP
+    if not _is_count(budget) or budget < 0:
+        raise ValueError(f"budget must be None or a non-negative int, got {budget!r}")
+    return budget
+
+
 def _require_within_budget(instance: Instance, budget: Optional[int]) -> None:
     """Refuse a plan larger than the budget (default DEFAULT_ENUM_CAP)."""
-    cap = DEFAULT_ENUM_CAP if budget is None else budget
+    cap = _cap(budget)
     total = plan_total(instance)
     if total > cap:
         raise BudgetExceededError(
@@ -178,8 +184,8 @@ def _refuted_depth(criterion, row, mask_i: int, mask_j: int, full: int, everythi
 
     Returns the shallowest depth d >= 0 such that the pair fails on every
     allocation sharing this one's holders of types 0..d. `row` is agent i's
-    row from `_rows`, `full` the mask of the full-copy types and
-    `everything` the mask of all types.
+    row from `_rows` or `_table_rows`, `full` the mask of the full-copy
+    types and `everything` the mask of all types.
 
     Soundness: `require_orientation` makes every row `_rows` gives
     non-negative, and for every base, plain or `_wc`, an item on the own
@@ -215,11 +221,12 @@ def _fair_indices(instance, criterion, stop: int) -> Iterator[tuple]:
 
     `masks` is the walk's live list, valid until the next step. At an unfair
     allocation the walk jumps past the subtree its first failing pair
-    refutes (`_refuted_depth`).
+    refutes (`_refuted_depth`). The pair tests read the rows compiled once
+    per call by `_table_rows`.
     """
     if stop <= 0:
         return
-    rows = _rows(instance, criterion.orientation)
+    rows = _table_rows(instance, criterion)
     n, last = instance.agents, len(instance.types) - 1
     everything = (1 << len(instance.types)) - 1
     full = sum(1 << p for p, t in enumerate(instance.types) if t.copies == n)
@@ -230,7 +237,7 @@ def _fair_indices(instance, criterion, stop: int) -> Iterator[tuple]:
     below.reverse()
     pairs = _all_pairs(n)
     walk = _walk(instance)
-    masks, _ = next(walk)
+    masks = next(walk)
     index = 0
     while True:
         pair = _first_unfair_pair(rows, criterion, masks, pairs)
@@ -244,7 +251,7 @@ def _fair_indices(instance, criterion, stop: int) -> Iterator[tuple]:
         index = (index // size + 1) * size
         if index >= stop:
             return
-        masks, _ = walk.send(depth)
+        masks = walk.send(depth)
 
 
 def exists_fair(
@@ -258,7 +265,7 @@ def exists_fair(
     stops at the first fair allocation; a refutation covers the whole plan.
     """
     require_orientation(instance, criterion)
-    cap = DEFAULT_ENUM_CAP if budget is None else budget
+    cap = _cap(budget)
     total = plan_total(instance)
     limit = min(total, cap)
     found = next(_fair_indices(instance, criterion, limit), None)

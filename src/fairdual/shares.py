@@ -24,6 +24,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
+from .criteria import _least_items, _subset_sums
 from .duality import dualize
 from .exactlp import maximize
 from .model import (
@@ -215,22 +216,6 @@ def tps_share(instance: Instance, agent: int) -> ShareValue:
 def forced_types(instance: Instance) -> frozenset:
     """Types every agent holds in every complete allocation."""
     return frozenset(t.name for t in instance.types if t.copies == instance.agents)
-
-
-def _subset_sums(items):
-    """Sum of every subset of the items, indexed by bitmask."""
-    sums = [0]
-    for item in items:
-        sums += [s + item for s in sums]
-    return sums
-
-
-def _least_items(items):
-    """Least item of every subset, indexed by bitmask; the empty subset's exceeds every item."""
-    least = [sum(items) + 1]
-    for item in items:
-        least += [min(x, item) for x in least]
-    return least
 
 
 def _frontier(values, least, threshold):

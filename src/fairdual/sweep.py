@@ -15,7 +15,14 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .criteria import BASES, HIERARCHY_EDGES, ComparisonCriterion, _bundles
+from .criteria import (
+    BASES,
+    HIERARCHY_EDGES,
+    ComparisonCriterion,
+    _bundles,
+    _table_rows,
+    _total,
+)
 from .model import MAX_INSTANCE_CELLS, format_rational, instance_to_json
 from .randgen import GENERATOR_VERSION, random_instance
 from .search import _all_pairs, _first_unfair_pair, _walk, plan_total
@@ -145,16 +152,18 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         if plan_total(instance) > config.plan_cap:
             skipped += 1
             continue
-        rows, scales = instance.kernel
+        scales = instance.kernel.scales
+        tables = {base: _table_rows(instance, ComparisonCriterion(base)) for base in BASES}
+        sums = tables["ef"]
         pairs = _all_pairs(instance.agents)
         maximins = [
             mms_share(instance, agent, budget=config.plan_cap).value
             for agent in range(instance.agents)
         ]
-        for masks, own in _walk(instance):
+        for masks in _walk(instance):
             total_allocations += 1
             verdict = {
-                c.notion: _first_unfair_pair(rows, c, masks, pairs) is None
+                c.notion: _first_unfair_pair(tables[c.base], c, masks, pairs) is None
                 for c in SWEEP_CRITERIA
             }
             for stronger, weaker in HIERARCHY_EDGES:
@@ -164,7 +173,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                     violations.append(_violation("hierarchy", index, instance, detail))
             # Each agent's value over a positive maximin share, once per allocation.
             ratios = [
-                (agent, Fraction(own[agent], scales[agent]) / share)
+                (agent, Fraction(_total(sums[agent], masks[agent]), scales[agent]) / share)
                 for agent, share in enumerate(maximins)
                 if share > 0
             ]

@@ -38,4 +38,4 @@ def pair_item(criterion, valuation, bundle_i, bundle_u):
 
 def walk_bundles(instance):
     """The plan walk, each step decoded to a tuple of bundles."""
-    return [_bundles(instance, masks) for masks, _ in search._walk(instance)]
+    return [_bundles(instance, masks) for masks in search._walk(instance)]

@@ -3,14 +3,20 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairdual.criteria import (
     BASES,
+    HALF_BITS,
     HIERARCHY_EDGES,
     ComparisonCriterion,
+    HalfTables,
     NotACycleError,
     OrientationError,
+    _rows,
+    _table_rows,
     cancel_envy_cycle,
+    criterion_eval,
     criterion_for,
     envy_graph,
     is_fair,
@@ -18,7 +24,7 @@ from fairdual.criteria import (
 )
 from fairdual.model import Allocation, Instance, ItemType, bundle
 from fairdual.randgen import random_allocation
-from kernel_views import pair_eval
+from kernel_views import one_agent, pair_eval
 from strategies import allocated_instances, signed_allocations, single_copy_instance
 
 
@@ -137,6 +143,34 @@ def test_hierarchy_edges_hold_pointwise(case):
     }
     for stronger, weaker in HIERARCHY_EDGES:
         assert verdicts[weaker] or not verdicts[stronger], (stronger, weaker)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_rows_decide_as_kernel_rows(data):
+    """Every criterion decides a pair on a `_table_rows` row as on the kernel row.
+
+    Entries are small, so zeros and ties are common, or occasionally large;
+    0 to 24 types give odd and even halves and an empty high half, and
+    independent masks overlap as copies make them.
+    """
+    width = data.draw(st.integers(0, 2 * HALF_BITS), label="types")
+    entries = data.draw(
+        st.lists(st.integers(0, 4) | st.integers(0, 10**9), min_size=width, max_size=width)
+    )
+    orientation = data.draw(st.sampled_from(("goods", "chores")))
+    base, wc = data.draw(st.sampled_from(BASES)), data.draw(st.booleans())
+    criterion = ComparisonCriterion(base, orientation, wc)
+    sign = 1 if orientation == "goods" else -1
+    instance = one_agent({f"t{k}": Fraction(sign * v) for k, v in enumerate(entries)})
+    (table,) = _table_rows(instance, criterion)
+    (kernel,) = _rows(instance, orientation)
+    assert (type(table) is HalfTables) == (base != "efl")
+    masks = st.integers(0, (1 << width) - 1)
+    pairs = data.draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=20))
+    for mask_i, mask_u in pairs:
+        expected = criterion_eval(criterion, kernel, mask_i, mask_u)
+        assert criterion_eval(criterion, table, mask_i, mask_u) == expected
 
 
 def test_is_fair_rejects_orientation_mismatch():

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -18,8 +19,12 @@ from fairdual import search
 from fairdual.criteria import (
     BASES,
     ComparisonCriterion,
+    HalfTables,
     OrientationError,
     _bundles,
+    _rows,
+    _table_rows,
+    _total,
     criterion_eval,
     is_fair,
 )
@@ -42,6 +47,7 @@ from fairdual.search import (
     max_nash_welfare,
     plan_total,
 )
+from fairdual.shares import mms_share
 
 
 def section_instance():
@@ -158,6 +164,21 @@ def single_copy_pair(row):
     )
 
 
+@pytest.mark.parametrize("budget", [True, 1.5, "7", -1])
+def test_every_budget_taker_refuses_a_budget_that_is_no_count(budget):
+    instance = section_instance()
+    criterion = ComparisonCriterion("efx", "goods", without_commons=True)
+    message = f"budget must be None or a non-negative int, got {budget!r}"
+    for call in (
+        lambda: exists_fair(instance, criterion, budget=budget),
+        lambda: count_fair(instance, criterion, budget=budget),
+        lambda: max_nash_welfare(instance, budget=budget),
+        lambda: mms_share(instance, 0, budget=budget),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 def test_whole_plan_consumers_refuse_before_walking(monkeypatch):
     """Neither the walk nor the Nash welfare program, which enumerates
     holder sets first, starts on a plan larger than the budget."""
@@ -247,6 +268,8 @@ def test_walk_send_skips_to_the_next_prefix(instance, data):
     size = subtree_size(instance, depth)
     landing = (index // size + 1) * size
     scales = instance.kernel.scales
+    sums = _table_rows(instance, ComparisonCriterion("ef"))
+    assert all(type(row) is HalfTables for row in sums)
     walk = search._walk(instance)
     for _ in range(index + 1):
         next(walk)
@@ -255,13 +278,14 @@ def test_walk_send_skips_to_the_next_prefix(instance, data):
             walk.send(depth)
         return
     seen = []
-    step = walk.send(depth)
-    while step is not None:
-        masks, own = step
+    masks = walk.send(depth)
+    while masks is not None:
         bundles = _bundles(instance, masks)
         seen.append(bundles)
+        # The compiled sums give each agent's own total at every allocation walked.
+        own = [_total(row, mask) for row, mask in zip(sums, masks)]
         assert own == [instance.bundle_value(a, b) * scales[a] for a, b in enumerate(bundles)]
-        step = next(walk, None)
+        masks = next(walk, None)
     assert seen == reference[landing:]
 
 
@@ -405,6 +429,81 @@ def test_l20_exists_stays_within_600_mb(tmp_path):
     assert run.returncode == 2
     assert "no fair allocation within budget 10" in run.stderr
     assert "MemoryError" not in run.stderr
+
+
+def compiled_rows(monkeypatch):
+    """Record the rows each `_fair_indices` call compiles."""
+    compiled = []
+
+    def recording(instance, criterion):
+        compiled.append(_table_rows(instance, criterion))
+        return compiled[-1]
+
+    monkeypatch.setattr(search, "_table_rows", recording)
+    return compiled
+
+
+def table_sizes(rows):
+    return [
+        len(table)
+        for row in rows
+        if type(row) is HalfTables
+        for table in (row.low_sums, row.high_sums, row.low_spared, row.high_spared)
+        if table is not None
+    ]
+
+
+def test_l20_walk_builds_no_table(monkeypatch):
+    """43 types would need halves of 2**22 entries: the walk reads kernel rows."""
+    compiled = compiled_rows(monkeypatch)
+    criterion = ComparisonCriterion("efx", "goods", without_commons=True)
+    with pytest.raises(BudgetExceededError):
+        exists_fair(l20_instance(), criterion, budget=10)
+    assert compiled and all(table_sizes(rows) == [] for rows in compiled)
+
+
+def test_walk_tables_stop_at_two_halves_of_2_to_the_12(monkeypatch):
+    compiled = compiled_rows(monkeypatch)
+    criterion = ComparisonCriterion("efx", "goods")
+    for width in (24, 25):
+        instance = single_copy_pair(range(width))
+        with pytest.raises(BudgetExceededError):
+            exists_fair(instance, criterion, budget=1)
+    wide, wider = compiled
+    # Two agents, four tables each (sums and least entries), every one full.
+    assert table_sizes(wide) == [2**12] * 8
+    assert table_sizes(wider) == []
+
+
+def recorded_evaluations(monkeypatch, instance, criterion):
+    """The answers of exists_fair and count_fair and every pair test their walks make."""
+    calls = []
+
+    def recording(criterion, row, mask_i, mask_u):
+        calls.append((mask_i, mask_u))
+        return criterion_eval(criterion, row, mask_i, mask_u)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "criterion_eval", recording)
+        answers = exists_fair(instance, criterion), count_fair(instance, criterion)
+    return answers, calls
+
+
+@pytest.mark.parametrize("orientation", ["goods", "chores"])
+@pytest.mark.parametrize("wc", [False, True])
+@pytest.mark.parametrize("base", BASES)
+def test_table_rows_keep_the_walks_evaluations(monkeypatch, base, wc, orientation):
+    """Tables change how a pair test decides, not which pair tests the walks make.
+
+    So a count of `search.criterion_eval` calls means the same on both row forms.
+    """
+    rng = random.Random(11)
+    instance = random_instance(rng, max_agents=3, max_types=5, orientation=orientation)
+    criterion = ComparisonCriterion(base, orientation, wc)
+    tables = recorded_evaluations(monkeypatch, instance, criterion)
+    monkeypatch.setattr(search, "_table_rows", lambda inst, crit: _rows(inst, crit.orientation))
+    assert recorded_evaluations(monkeypatch, instance, criterion) == tables
+    assert len(tables[1]) > 10
 
 
 def test_exists_checks_orientation():
