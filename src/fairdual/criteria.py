@@ -25,8 +25,9 @@ smallest (EFX) entry; only EFL lists the other side. A plan walk tests
 thousands of allocations against the same rows, so `_table_rows` compiles
 them once per walk into `HalfTables`: subset tables over the low and the
 high half of the positions (the meet-in-the-middle split of Horowitz and
-Sahni, 1974). On those a side's sum, and the other side's least or largest
-entry, take two lookups each.
+Sahni, 1974), when the walk may visit at least as many plan positions as
+a half-table has entries. On those a side's sum, and the other side's
+least or largest entry, take two lookups each.
 """
 
 from __future__ import annotations
@@ -135,8 +136,7 @@ def _bundles(instance: Instance, masks) -> tuple:
 
 
 # Widest half, in type positions, that `_table_rows` compiles: 2**12 entries
-# per table, so a walk over at most 24 types reads tables and a wider one the
-# kernel rows.
+# per table, so only a walk over at most 24 types can read tables.
 HALF_BITS = 12
 
 
@@ -195,18 +195,22 @@ class HalfTables:
             self.low_spared, self.high_spared = _largest_items(low), _largest_items(high)
 
 
-def _table_rows(instance: Instance, criterion: ComparisonCriterion) -> Sequence:
+def _table_rows(instance: Instance, criterion: ComparisonCriterion, positions: int) -> Sequence:
     """Per agent, the criterion's row from `_rows` compiled for a plan walk.
 
-    Each becomes a HalfTables holding the tables the criterion's base reads,
+    `positions` is the most plan positions the walk may visit. Each row
+    becomes a HalfTables holding the tables the criterion's base reads,
     built per call and kept by no instance. The walks call it after
     `require_orientation`, so no row has a negative entry, as the tables'
-    empty-half entries assume. EFL reads no table and a half wider than
-    HALF_BITS would be too large, so those keep the kernel rows, which
-    `criterion_eval` reads as well.
+    empty-half entries assume. The kernel rows, which `criterion_eval`
+    reads as well, are kept where tables would not pay: EFL reads none, a
+    half wider than HALF_BITS would be too large, and a walk of fewer
+    positions than the low half-table's 2**cut entries could spend more on
+    building the tables than on its pair tests.
     """
     rows = _rows(instance, criterion.orientation)
-    if criterion.base == "efl" or len(instance.types) > 2 * HALF_BITS:
+    cut = (len(instance.types) + 1) // 2
+    if criterion.base == "efl" or cut > HALF_BITS or positions < 2**cut:
         return rows
     return [HalfTables(row, criterion.base) for row in rows]
 

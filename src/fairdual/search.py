@@ -19,13 +19,13 @@ fair allocation among them.
 The walk yields per-agent type masks, updated for a changed type's old
 and new holders only. It can also skip the rest of the subtree under a
 prefix of types. Existence and counting test pairs on the rows of
-`Instance.kernel` compiled once per call by `criteria._table_rows` into
-half-row subset tables, which no instance keeps. They skip each subtree
-in which a failing pair fails everywhere (see `_refuted_depth`), so a
-certificate's `checked` is a plan position: every allocation before it
-was either examined or lies in a subtree a failing pair refutes. A "not
-exists" verdict covers the whole plan the same way. Only the allocation a
-caller reports is decoded.
+`Instance.kernel`, compiled once per call by `criteria._table_rows` into
+half-row subset tables (which no instance keeps) when the walk may visit
+2**ceil(T/2) positions. They skip each subtree in which a failing pair
+fails everywhere (see `_refuted_depth`), so a certificate's `checked` is
+a plan position: every allocation before it was either examined or lies
+in a subtree a failing pair refutes. A "not exists" verdict covers the
+whole plan the same way. Only the allocation a caller reports is decoded.
 """
 
 from __future__ import annotations
@@ -221,12 +221,12 @@ def _fair_indices(instance, criterion, stop: int) -> Iterator[tuple]:
 
     `masks` is the walk's live list, valid until the next step. At an unfair
     allocation the walk jumps past the subtree its first failing pair
-    refutes (`_refuted_depth`). The pair tests read the rows compiled once
-    per call by `_table_rows`.
+    refutes (`_refuted_depth`). The pair tests read the rows `_table_rows`
+    compiles once per call for a walk of at most `stop` positions.
     """
     if stop <= 0:
         return
-    rows = _table_rows(instance, criterion)
+    rows = _table_rows(instance, criterion, stop)
     n, last = instance.agents, len(instance.types) - 1
     everything = (1 << len(instance.types)) - 1
     full = sum(1 << p for p, t in enumerate(instance.types) if t.copies == n)

@@ -149,11 +149,12 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             orientation="goods",
             max_abs_value=config.max_value,
         )
-        if plan_total(instance) > config.plan_cap:
+        size = plan_total(instance)
+        if size > config.plan_cap:
             skipped += 1
             continue
         scales = instance.kernel.scales
-        tables = {base: _table_rows(instance, ComparisonCriterion(base)) for base in BASES}
+        tables = {base: _table_rows(instance, ComparisonCriterion(base), size) for base in BASES}
         sums = tables["ef"]
         pairs = _all_pairs(instance.agents)
         maximins = [

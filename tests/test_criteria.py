@@ -163,7 +163,8 @@ def test_table_rows_decide_as_kernel_rows(data):
     criterion = ComparisonCriterion(base, orientation, wc)
     sign = 1 if orientation == "goods" else -1
     instance = one_agent({f"t{k}": Fraction(sign * v) for k, v in enumerate(entries)})
-    (table,) = _table_rows(instance, criterion)
+    # A walk of 2**HALF_BITS positions compiles tables for every width drawn.
+    (table,) = _table_rows(instance, criterion, 2**HALF_BITS)
     (kernel,) = _rows(instance, orientation)
     assert (type(table) is HalfTables) == (base != "efl")
     masks = st.integers(0, (1 << width) - 1)

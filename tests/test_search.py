@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from plan_reference import plan_bundles
 from fairdual import search
 from fairdual.criteria import (
     BASES,
+    HALF_BITS,
     ComparisonCriterion,
     HalfTables,
     OrientationError,
@@ -268,7 +270,7 @@ def test_walk_send_skips_to_the_next_prefix(instance, data):
     size = subtree_size(instance, depth)
     landing = (index // size + 1) * size
     scales = instance.kernel.scales
-    sums = _table_rows(instance, ComparisonCriterion("ef"))
+    sums = _table_rows(instance, ComparisonCriterion("ef"), 2**HALF_BITS)
     assert all(type(row) is HalfTables for row in sums)
     walk = search._walk(instance)
     for _ in range(index + 1):
@@ -435,8 +437,8 @@ def compiled_rows(monkeypatch):
     """Record the rows each `_fair_indices` call compiles."""
     compiled = []
 
-    def recording(instance, criterion):
-        compiled.append(_table_rows(instance, criterion))
+    def recording(instance, criterion, positions):
+        compiled.append(_table_rows(instance, criterion, positions))
         return compiled[-1]
 
     monkeypatch.setattr(search, "_table_rows", recording)
@@ -466,13 +468,28 @@ def test_walk_tables_stop_at_two_halves_of_2_to_the_12(monkeypatch):
     compiled = compiled_rows(monkeypatch)
     criterion = ComparisonCriterion("efx", "goods")
     for width in (24, 25):
-        instance = single_copy_pair(range(width))
-        with pytest.raises(BudgetExceededError):
-            exists_fair(instance, criterion, budget=1)
+        exists_fair(single_copy_pair([0] * width), criterion, budget=2**13)
     wide, wider = compiled
     # Two agents, four tables each (sums and least entries), every one full.
     assert table_sizes(wide) == [2**12] * 8
     assert table_sizes(wider) == []
+
+
+@pytest.mark.parametrize("width", [4, 13, 24])
+def test_a_walk_shorter_than_a_half_table_builds_none(monkeypatch, width):
+    """A walk of fewer positions than the low half-table's 2**cut entries reads kernel rows."""
+    compiled = compiled_rows(monkeypatch)
+    criterion = ComparisonCriterion("efx", "goods")
+    size = 2 ** ((width + 1) // 2)
+    instance = single_copy_pair(range(width))
+    for budget in (1, size - 1, size):
+        with contextlib.suppress(BudgetExceededError):
+            exists_fair(instance, criterion, budget=budget)
+    # A whole plan of one position builds none either.
+    count_fair(Instance(agents=1, types=instance.types, values=instance.values[:1]), criterion)
+    tiny, short, enough, whole = compiled
+    assert table_sizes(tiny) == table_sizes(short) == table_sizes(whole) == []
+    assert max(table_sizes(enough)) == size
 
 
 def recorded_evaluations(monkeypatch, instance, criterion):
@@ -500,8 +517,12 @@ def test_table_rows_keep_the_walks_evaluations(monkeypatch, base, wc, orientatio
     rng = random.Random(11)
     instance = random_instance(rng, max_agents=3, max_types=5, orientation=orientation)
     criterion = ComparisonCriterion(base, orientation, wc)
+    compiled = compiled_rows(monkeypatch)
     tables = recorded_evaluations(monkeypatch, instance, criterion)
-    monkeypatch.setattr(search, "_table_rows", lambda inst, crit: _rows(inst, crit.orientation))
+    assert compiled and all((type(row) is HalfTables) == (base != "efl") for row in compiled[0])
+    monkeypatch.setattr(
+        search, "_table_rows", lambda inst, crit, positions: _rows(inst, crit.orientation)
+    )
     assert recorded_evaluations(monkeypatch, instance, criterion) == tables
     assert len(tables[1]) > 10
 
