@@ -24,17 +24,14 @@ from .model import _mark_valid, _require_agent, require_valid
 from .search import _all_pairs, _first_unfair_pair
 
 
-def leveled_counterexample(instance: Instance, agent: int) -> Optional[tuple]:
-    """Find a cardinality pair violating leveledness, or None.
+def _value_order(row) -> list:
+    """The row's positions by ascending value, ties by position: one stable sort."""
+    return sorted(range(len(row)), key=row.__getitem__)
 
-    A valuation is leveled when any larger bundle is strictly preferred to
-    any smaller one. Additivity reduces that to adjacent sizes: for every m,
-    the m+1 smallest values must sum strictly above the m largest. One
-    ascending sort of the integer row and two running sums check every m;
-    returns (m + 1, m) for the first failing m.
-    """
-    _require_agent(instance, agent)
-    ascending = sorted(instance.kernel.rows[agent])
+
+def _gap(agent: int, row, order) -> Optional[tuple]:
+    """The first cardinality pair violating leveledness, read off the value order."""
+    ascending = [row[p] for p in order]
     if ascending and ascending[0] < 0:
         raise InstanceError(
             f"agent {agent} has negative values; leveledness is a goods notion"
@@ -48,11 +45,33 @@ def leveled_counterexample(instance: Instance, agent: int) -> Optional[tuple]:
     return None
 
 
-def require_leveled(instance: Instance) -> None:
-    for agent in range(instance.agents):
-        gap = leveled_counterexample(instance, agent)
+def leveled_counterexample(instance: Instance, agent: int) -> Optional[tuple]:
+    """Find a cardinality pair violating leveledness, or None.
+
+    A valuation is leveled when any larger bundle is strictly preferred to
+    any smaller one. Additivity reduces that to adjacent sizes: for every m,
+    the m+1 smallest values must sum strictly above the m largest. The
+    integer row in ascending order and two running sums check every m;
+    returns (m + 1, m) for the first failing m.
+    """
+    _require_agent(instance, agent)
+    row = instance.kernel.rows[agent]
+    return _gap(agent, row, _value_order(row))
+
+
+def require_leveled(instance: Instance) -> list:
+    """Refuse an instance that is not leveled; return each agent's value order.
+
+    The solver ranks types by these orders, so each row is sorted once.
+    """
+    orders = []
+    for agent, row in enumerate(instance.kernel.rows):
+        order = _value_order(row)
+        gap = _gap(agent, row, order)
         if gap is not None:
             raise NotLeveledError(agent, *gap)
+        orders.append(order)
+    return orders
 
 
 def round_robin_init(instance: Instance) -> Allocation:
@@ -71,11 +90,18 @@ def round_robin_init(instance: Instance) -> Allocation:
     return Allocation(tuple(frozenset(b) for b in bundles))
 
 
-def _rank_tables(rows) -> list:
-    """Per agent, a list of each type position's ordinal by value: worst good is 1."""
-    # Stable sorts break ties by position; the second inverts the first.
-    orders = [sorted(range(len(row)), key=row.__getitem__) for row in rows]
-    return [[r + 1 for r in sorted(range(len(o)), key=o.__getitem__)] for o in orders]
+def _rank_tables(orders) -> list:
+    """Per agent, a list of each type position's ordinal by value: worst good is 1.
+
+    `orders` holds each agent's `_value_order`, which this inverts.
+    """
+    tables = []
+    for order in orders:
+        ranks = [0] * len(order)
+        for rank, position in enumerate(order, 1):
+            ranks[position] = rank
+        tables.append(ranks)
+    return tables
 
 
 def _rank_sum(ranks, masks) -> int:
@@ -91,7 +117,8 @@ def _rank_sum(ranks, masks) -> int:
 def potential(instance: Instance, allocation: Allocation) -> int:
     """Rank-sum of the lower-level bundles (all bundles if one level)."""
     require_valid(instance, allocation)
-    return _rank_sum(_rank_tables(instance.kernel.rows), _masks(instance, allocation.bundles))
+    orders = map(_value_order, instance.kernel.rows)
+    return _rank_sum(_rank_tables(orders), _masks(instance, allocation.bundles))
 
 
 @dataclass(frozen=True)
@@ -113,13 +140,13 @@ class LeveledResult:
 
 def solve_leveled_efxwc(instance: Instance) -> LeveledResult:
     """Find an allocation nobody EFX-envies after stripping shared types."""
-    require_leveled(instance)
+    orders = require_leveled(instance)
     criterion = ComparisonCriterion("efx", "goods", without_commons=True)
     rows = instance.kernel.rows
     initial = round_robin_init(instance)
     start = _masks(instance, initial.bundles)
     masks = start.copy()
-    ranks = _rank_tables(rows)
+    ranks = _rank_tables(orders)
     names = instance.type_names()
     limit = instance.agents * len(instance.types) ** 2
     initial_potential = rank_sum = _rank_sum(ranks, start)

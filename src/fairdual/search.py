@@ -4,7 +4,8 @@ The enumeration strategy is deterministic and seedless: for each type,
 choose which agents receive a copy (subsets in lexicographic order), and
 walk the cartesian product with the first type most significant. One lazy
 walk, always from position 0, serves existence, counting and the sweep: it
-keeps one subset iterator per type, so memory does not grow with the plan.
+keeps each type's holders in one list, stepped in place to the next set,
+so memory does not grow with the plan.
 Nash welfare walks no plan: its product depends only on the agents' own
 totals, so a dynamic program over types keeps one state per distinct tuple
 of totals, holding the plan position of the first prefix that reaches it.
@@ -16,8 +17,8 @@ refuses a plan larger than its budget before any work. `exists_fair`
 walks at most `budget` plan positions and refuses only if it found no
 fair allocation among them.
 
-The walk yields per-agent type masks, updated for a changed type's old
-and new holders only. It can also skip the rest of the subtree under a
+The walk yields per-agent type masks, updated only for the agents that
+gain or lose a changed type. It can also skip the rest of the subtree under a
 prefix of types. Existence and counting test pairs on the rows of
 `Instance.kernel`, compiled once per call by `criteria._table_rows` into
 half-row subset tables (which no instance keeps) when the walk may visit
@@ -64,33 +65,68 @@ def _walk(instance: Instance) -> Iterator[list]:
     keep it. `walk.send(d)` skips the rest of the subtree under the current
     prefix of types 0..d and yields the first allocation after it; d = -1
     ends the walk. A plain `next` is `send(len(types) - 1)`.
+
+    Each type keeps its sorted holders in a list, stepped in place to the
+    next set in lexicographic order (Knuth, TAOCP 7.2.1.3): the tail from
+    the last holder that can still rise is replaced by a run, and the bits
+    flip for the old and the new tail. A step restarts the deeper types not
+    at their first set, then advances the type at d; a spent type restarts
+    and carries into the type before it. Memory stays O(n + sum of copies).
     """
     n = instance.agents
     types = instance.types
-    subsets = [combinations(range(n), t.copies) for t in types]
-    choice = [next(it) for it in subsets]
-    masks = [sum(1 << p for p, h in enumerate(choice) if a in h) for a in range(n)]
-    last = len(types) - 1
+    holders = [list(range(t.copies)) for t in types]
+    firsts = [tuple(range(t.copies)) for t in types]
+    # The last holder set of k copies starts at n - k; from it back to the
+    # first set, the agents in exactly one of the two flip.
+    heads = [n - t.copies for t in types]
+    wraps = [
+        (*range(min(t.copies, n - t.copies)), *range(max(t.copies, n - t.copies), n))
+        for t in types
+    ]
+    masks = [sum(1 << p for p, t in enumerate(types) if a < t.copies) for a in range(n)]
+    count = len(types)
+    top = n - 1
     while True:
         depth = yield masks
         if depth is None:
-            depth = last
-        # Odometer step at `depth`: types after it restart, and a spent type
-        # restarts and carries into the type before it.
-        for pos in reversed(range(len(types))):
-            holders = next(subsets[pos], None) if pos <= depth else None
-            if holders is None:
-                subsets[pos] = combinations(range(n), types[pos].copies)
-            new = holders or next(subsets[pos])
-            # The bit flips for the old and the new holders; one in both keeps it.
-            bit = 1 << pos
-            for agent in choice[pos]:
-                masks[agent] ^= bit
-            for agent in new:
-                masks[agent] ^= bit
-            choice[pos] = new
-            if holders is not None:
+            depth = count - 1
+        for pos in range(depth + 1, count):
+            held, first = holders[pos], firsts[pos]
+            if held[-1] != first[-1]:
+                bit = 1 << pos
+                for agent in held:
+                    masks[agent] ^= bit
+                for agent in first:
+                    masks[agent] ^= bit
+                held[:] = first
+        while depth >= 0:
+            held = holders[depth]
+            bit = 1 << depth
+            x = held[-1]
+            if x < top:
+                masks[x] ^= bit
+                masks[x + 1] ^= bit
+                held[-1] = x + 1
                 break
+            if held[0] == heads[depth]:
+                for agent in wraps[depth]:
+                    masks[agent] ^= bit
+                held[:] = firsts[depth]
+                depth -= 1
+                continue
+            # The last holder is at the top: find the last one that can still rise.
+            k = len(held)
+            i = k - 2
+            while held[i] == top - (k - 1 - i):
+                i -= 1
+            for agent in held[i:]:
+                masks[agent] ^= bit
+            x = held[i] + 1
+            held[i:] = range(x, x + k - i)
+            for agent in held[i:]:
+                masks[agent] ^= bit
+            break
         else:
             return
 

@@ -7,8 +7,9 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -308,6 +309,48 @@ def skip_instances(draw):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(skip_instances(), st.data())
+def test_every_send_of_a_long_walk_lands_on_the_plan(instance, data):
+    """A random run of sends, carries across spent types included, lands each
+    time on the allocation `allocation_at` gives for the next prefix."""
+    total, last = plan_total(instance), len(instance.types) - 1
+    walk = search._walk(instance)
+    masks, index = next(walk), 0
+    while True:
+        assert _bundles(instance, masks) == allocation_at(instance, index).bundles
+        depth = data.draw(st.one_of(st.just(last), st.integers(-1, last)))
+        size = subtree_size(instance, depth)
+        landing = (index // size + 1) * size
+        if landing >= total:
+            with pytest.raises(StopIteration):
+                walk.send(depth)
+            return
+        masks, index = walk.send(depth), landing
+
+
+def test_the_walk_builds_no_holder_iterator(monkeypatch):
+    """Holder sets step in place: neither a full walk nor a count builds a
+    `combinations` object, so no step rebuilds one."""
+    instance = Instance(
+        agents=3,
+        types=tuple(ItemType(f"t{k}", c) for k, c in enumerate((1, 2, 1, 3, 2, 1))),
+        values=tuple(
+            tuple(Fraction((a + k) % 4) for k in range(6)) for a in range(3)
+        ),
+    )
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return combinations(*args)
+
+    monkeypatch.setattr(search, "combinations", counting)
+    assert sum(1 for _ in search._walk(instance)) == plan_total(instance) == 243
+    assert count_fair(instance, ComparisonCriterion("efx", "goods", without_commons=True))[0]
+    assert made == []
+
+
 @settings(max_examples=120, deadline=None)
 @given(skip_instances(), st.data())
 def test_skipping_keeps_every_answer_of_the_full_sweep(instance, data):
@@ -405,6 +448,29 @@ def test_l20_walk_is_lazy():
     first = allocation_at(instance, 0)
     assert len(first.bundles) == instance.agents
     assert len(list(islice(search._walk(instance), 10))) == 10
+
+
+def test_walk_memory_does_not_grow_with_the_walk():
+    """10^5 steps through the C(40, 20) ~ 1.4e11 holder sets of one type
+    allocate no more than the first ten."""
+    instance = Instance(
+        agents=40,
+        types=(ItemType("g", 20),),
+        values=tuple((Fraction(1),) for _ in range(40)),
+    )
+    tracemalloc.start()
+    try:
+        walk = search._walk(instance)
+        for _ in islice(walk, 10):
+            pass
+        early = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for _ in islice(walk, 10**5):
+            pass
+        late = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert late < early + 64 * 1024
 
 
 def test_l20_exists_stays_within_600_mb(tmp_path):
