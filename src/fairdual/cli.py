@@ -236,27 +236,15 @@ def _cmd_replicate(args):
         ids = tuple(args.ids)
     else:
         raise FairdualError("pass fixture ids or --all")
-    runs = [
-        (
-            fixture_id,
-            fixture_corpus.replicate(fixture_corpus.load_fixture(fixture_id), args.budget),
-        )
-        for fixture_id in ids
-    ]
-    fixtures = [
-        {
-            "id": fixture_id,
-            "passed": all(r.passed for r in results),
-            "claims": [
-                {"description": r.description, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-        }
-        for fixture_id, results in runs
-    ]
-    lines = []
-    for fixture_id, results in runs:
+    fixtures, lines = [], []
+    for fixture_id in ids:
+        results = fixture_corpus.replicate(fixture_corpus.load_fixture(fixture_id), args.budget)
         bad = [r for r in results if not r.passed]
+        claims = [
+            {"description": r.description, "passed": r.passed, "detail": r.detail}
+            for r in results
+        ]
+        fixtures.append({"id": fixture_id, "passed": not bad, "claims": claims})
         lines.append(f"{'FAIL' if bad else 'PASS'} {fixture_id} ({len(results)} claims)")
         lines += [
             f"  failed: {r.description}" + (f": {r.detail}" if r.detail else "") for r in bad

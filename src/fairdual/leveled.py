@@ -16,62 +16,44 @@ a lower-level agent to a higher one (none with one level).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .criteria import ComparisonCriterion, _bits, _entries, _masks
 from .model import Allocation, FairdualError, Instance, InstanceError, NotLeveledError
-from .model import _mark_valid, _require_agent, require_valid
+from .model import _mark_valid
 from .search import _all_pairs, _first_unfair_pair
 
 
-def _value_order(row) -> list:
-    """The row's positions by ascending value, ties by position: one stable sort."""
-    return sorted(range(len(row)), key=row.__getitem__)
-
-
-def _gap(agent: int, row, order) -> Optional[tuple]:
-    """The first cardinality pair violating leveledness, read off the value order."""
-    ascending = [row[p] for p in order]
-    if ascending and ascending[0] < 0:
-        raise InstanceError(
-            f"agent {agent} has negative values; leveledness is a goods notion"
-        )
-    smallest = largest = 0
-    for m, value in enumerate(ascending):
-        smallest += value
-        if not smallest > largest:
-            return (m + 1, m)
-        largest += ascending[-1 - m]
-    return None
-
-
-def leveled_counterexample(instance: Instance, agent: int) -> Optional[tuple]:
-    """Find a cardinality pair violating leveledness, or None.
+def require_leveled(instance: Instance) -> list:
+    """Refuse an instance that is not leveled; return each agent's rank table.
 
     A valuation is leveled when any larger bundle is strictly preferred to
     any smaller one. Additivity reduces that to adjacent sizes: for every m,
-    the m+1 smallest values must sum strictly above the m largest. The
-    integer row in ascending order and two running sums check every m;
-    returns (m + 1, m) for the first failing m.
+    the m+1 smallest values must sum strictly above the m largest. One
+    stable sort of each integer row's positions by value gives both the
+    ascending values, which two running sums check for every m, and the
+    rank table the solver reads: each type position's ordinal by value,
+    worst good 1, ties by position. The first failing agent and m raise
+    NotLeveledError(agent, m + 1, m).
     """
-    _require_agent(instance, agent)
-    row = instance.kernel.rows[agent]
-    return _gap(agent, row, _value_order(row))
-
-
-def require_leveled(instance: Instance) -> list:
-    """Refuse an instance that is not leveled; return each agent's value order.
-
-    The solver ranks types by these orders, so each row is sorted once.
-    """
-    orders = []
+    tables = []
     for agent, row in enumerate(instance.kernel.rows):
-        order = _value_order(row)
-        gap = _gap(agent, row, order)
-        if gap is not None:
-            raise NotLeveledError(agent, *gap)
-        orders.append(order)
-    return orders
+        order = sorted(range(len(row)), key=row.__getitem__)
+        ascending = [row[p] for p in order]
+        if ascending and ascending[0] < 0:
+            raise InstanceError(
+                f"agent {agent} has negative values; leveledness is a goods notion"
+            )
+        smallest = largest = 0
+        for m, value in enumerate(ascending):
+            smallest += value
+            if not smallest > largest:
+                raise NotLeveledError(agent, m + 1, m)
+            largest += ascending[-1 - m]
+        ranks = [0] * len(order)
+        for rank, position in enumerate(order, 1):
+            ranks[position] = rank
+        tables.append(ranks)
+    return tables
 
 
 def round_robin_init(instance: Instance) -> Allocation:
@@ -88,37 +70,6 @@ def round_robin_init(instance: Instance) -> Allocation:
             bundles[(pointer + step) % n].add(t.name)
         pointer = (pointer + t.copies) % n
     return Allocation(tuple(frozenset(b) for b in bundles))
-
-
-def _rank_tables(orders) -> list:
-    """Per agent, a list of each type position's ordinal by value: worst good is 1.
-
-    `orders` holds each agent's `_value_order`, which this inverts.
-    """
-    tables = []
-    for order in orders:
-        ranks = [0] * len(order)
-        for rank, position in enumerate(order, 1):
-            ranks[position] = rank
-        tables.append(ranks)
-    return tables
-
-
-def _rank_sum(ranks, masks) -> int:
-    low = min(m.bit_count() for m in masks)
-    return sum(
-        ranks[i][p]
-        for i, m in enumerate(masks)
-        if m.bit_count() == low
-        for p in _bits(m)
-    )
-
-
-def potential(instance: Instance, allocation: Allocation) -> int:
-    """Rank-sum of the lower-level bundles (all bundles if one level)."""
-    require_valid(instance, allocation)
-    orders = map(_value_order, instance.kernel.rows)
-    return _rank_sum(_rank_tables(orders), _masks(instance, allocation.bundles))
 
 
 @dataclass(frozen=True)
@@ -140,18 +91,21 @@ class LeveledResult:
 
 def solve_leveled_efxwc(instance: Instance) -> LeveledResult:
     """Find an allocation nobody EFX-envies after stripping shared types."""
-    orders = require_leveled(instance)
+    ranks = require_leveled(instance)
     criterion = ComparisonCriterion("efx", "goods", without_commons=True)
     rows = instance.kernel.rows
     initial = round_robin_init(instance)
     start = _masks(instance, initial.bundles)
     masks = start.copy()
-    ranks = _rank_tables(orders)
     names = instance.type_names()
     limit = instance.agents * len(instance.types) ** 2
-    initial_potential = rank_sum = _rank_sum(ranks, start)
-    trace = []
     sizes = [m.bit_count() for m in start]  # fixed: swaps keep every size
+    # The potential: the rank-sum of the lower-level bundles (all if one level).
+    low = min(sizes)
+    initial_potential = rank_sum = sum(
+        ranks[i][p] for i, m in enumerate(start) if sizes[i] == low for p in _bits(m)
+    )
+    trace = []
     pairs = [(i, j) for i, j in _all_pairs(instance.agents) if sizes[i] < sizes[j]]
     while True:
         pair = _first_unfair_pair(rows, criterion, masks, pairs)

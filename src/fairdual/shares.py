@@ -148,6 +148,23 @@ class AlphaMMSReport:
     failing: tuple
 
 
+def _rational(value, what: str) -> Fraction:
+    """`value` read exactly as a Fraction; a bool is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a rational, got {value!r}")
+    return Fraction(value)
+
+
+def _entitlement(instance: Instance, entitlement) -> Fraction:
+    """The anyprice entitlement b, 1/n by default, refused outside [0, 1]."""
+    if entitlement is None:
+        return Fraction(1, instance.agents)
+    b = _rational(entitlement, "entitlement")
+    if not 0 <= b <= 1:
+        raise ValueError("entitlement must lie in [0, 1]")
+    return b
+
+
 def check_alpha_mms(
     instance: Instance,
     allocation: Allocation,
@@ -161,8 +178,8 @@ def check_alpha_mms(
     is read once as an exact Fraction, the value that decides and is reported.
     """
     require_valid(instance, allocation)
-    alpha = Fraction(alpha)
-    shares = tuple(Fraction(v) for v in shares)
+    alpha = _rational(alpha, "alpha")
+    shares = tuple(_rational(v, "share") for v in shares)
     if len(shares) != instance.agents:
         raise ValueError("one share value per agent required")
     ratios = []
@@ -276,9 +293,7 @@ def aps_share(
     orientation = instance.orientation()
     if orientation is None:
         raise OrientationError("anyprice share needs a sign-pure instance")
-    b = Fraction(1, instance.agents) if entitlement is None else Fraction(entitlement)
-    if not 0 <= b <= 1:
-        raise ValueError("entitlement must lie in [0, 1]")
+    b = _entitlement(instance, entitlement)
     forced = forced_types(instance)
     base = instance.bundle_value(agent, forced)
     free_positions = [
@@ -364,10 +379,7 @@ def check_share_duality(
     """
     if share not in ("prop", "mms", "aps"):
         raise ValueError(f"no linear duality shift for share {share!r}")
-    dual_entitlement = None
-    if share == "aps":
-        b = Fraction(1, instance.agents) if entitlement is None else Fraction(entitlement)
-        dual_entitlement = 1 - b
+    dual_entitlement = 1 - _entitlement(instance, entitlement) if share == "aps" else None
     dual = dualize(instance).instance
     for i in range(instance.agents):
         primal = share_value(instance, share, i, entitlement).value

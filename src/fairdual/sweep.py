@@ -23,7 +23,7 @@ from .criteria import (
     _table_rows,
     _total,
 )
-from .model import MAX_INSTANCE_CELLS, format_rational, instance_to_json
+from .model import MAX_INSTANCE_CELLS, _is_count, format_rational, instance_to_json
 from .randgen import GENERATOR_VERSION, random_instance
 from .search import _all_pairs, _first_unfair_pair, _walk, plan_total
 from .shares import mms_share
@@ -51,6 +51,10 @@ class SweepConfig:
     plan_cap: int = 100_000
 
     def __post_init__(self):
+        for name in ("count", "max_agents", "max_types", "max_value", "plan_cap"):
+            value = getattr(self, name)
+            if not _is_count(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.count < 0:
             raise ValueError("count must be nonnegative")
         if self.max_agents < 2:

@@ -27,7 +27,8 @@ def _efx_wc_fails(row, position, mine, theirs):
     return sum(row[position[name]] for name in own) < sum(values) - min(values)
 
 
-def _potential(instance, bundles):
+def potential(instance, bundles):
+    """Rank-sum of the lower-level bundles (all bundles if one level), ranks from 1."""
     position = {t.name: p for p, t in enumerate(instance.types)}
     low = min(len(b) for b in bundles)
     total = 0
@@ -67,5 +68,5 @@ def reference_walk(instance):
         lost = min(bundles[i] - bundles[j], key=lambda g: (row[position[g]], position[g]))
         bundles[i] = bundles[i] - {lost} | {gained}
         bundles[j] = bundles[j] - {gained} | {lost}
-        trace.append((i, j, gained, lost, _potential(instance, bundles)))
-    return initial, _potential(instance, initial), trace, [frozenset(b) for b in bundles]
+        trace.append((i, j, gained, lost, potential(instance, bundles)))
+    return initial, potential(instance, initial), trace, [frozenset(b) for b in bundles]

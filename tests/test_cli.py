@@ -357,6 +357,23 @@ def test_solve_leveled_json_swaps_carry_every_field(tmp_path, capsys):
     assert list(payload["swaps"][0]) == ["envious", "envied", "gained", "lost", "potential"]
 
 
+def test_solve_leveled_refuses_chores(tmp_path, capsys):
+    chores = write_json(
+        tmp_path / "chores.json",
+        {
+            "agents": 2,
+            "types": [
+                {"name": "a", "copies": 1, "values": {"shared": -1}},
+                {"name": "b", "copies": 1, "values": {"shared": -2}},
+            ],
+        },
+    )
+    assert main(["solve-leveled", "--instance", chores]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "agent 0 has negative values; leveledness is a goods notion" in captured.err
+
+
 def test_replicate_single_and_unknown(capsys):
     code = main(["replicate", "tps-trio"])
     assert code == 0

@@ -10,8 +10,8 @@ import criteria_reference as ref
 from kernel_views import one_agent, pair_eval, pair_item
 from strategies import allocated_instances
 from fairdual.criteria import BASES, ComparisonCriterion, is_fair
-from fairdual.leveled import leveled_counterexample
-from fairdual.model import Instance, InstanceError, ItemType
+from fairdual.leveled import require_leveled
+from fairdual.model import Instance, InstanceError, ItemType, NotLeveledError
 
 CRITERIA = tuple(
     ComparisonCriterion(base, orientation, wc)
@@ -102,7 +102,13 @@ def test_leveled_check_matches_the_reference(row):
         types=tuple(ItemType(f"t{k}", 1) for k in range(len(row))),
         values=(tuple(row),),
     )
-    assert leveled_counterexample(instance, 0) == ref.leveled_counterexample(instance, 0)
+    gap = ref.leveled_counterexample(instance, 0)
+    if gap is None:
+        require_leveled(instance)
+    else:
+        with pytest.raises(NotLeveledError) as refused:
+            require_leveled(instance)
+        assert (refused.value.agent, refused.value.larger, refused.value.smaller) == (0, *gap)
 
 
 def test_leveled_check_refuses_negative_values():
@@ -112,4 +118,47 @@ def test_leveled_check_refuses_negative_values():
         values=((Fraction(1), Fraction(-1)),),
     )
     with pytest.raises(InstanceError, match="negative values"):
-        leveled_counterexample(instance, 0)
+        require_leveled(instance)
+
+
+def stable_ranks(row):
+    """Each position's ordinal in the (value, position) order, from 1."""
+    order = sorted(range(len(row)), key=lambda p: (row[p], p))
+    return [order.index(p) + 1 for p in range(len(row))]
+
+
+@st.composite
+def nonnegative_instances(draw):
+    """Two to four agents over shared one-copy types; some rows leveled, some not.
+
+    Rows of 10s and 11s are always leveled (10(m + 1) > 11m for m < 10) and tie often.
+    """
+    size = draw(st.integers(0, 7))
+    n = draw(st.integers(2, 4))
+    row = st.one_of(
+        st.lists(st.integers(10, 11).map(Fraction), min_size=size, max_size=size),
+        st.lists(row_values, min_size=size, max_size=size),
+    )
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    return Instance(
+        agents=n,
+        types=tuple(ItemType(f"t{k}", 1) for k in range(size)),
+        values=tuple(tuple(row) for row in rows),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonnegative_instances())
+def test_require_leveled_refuses_the_first_unleveled_agent_or_returns_ranks(instance):
+    """The one leveledness check: the first agent whose row fails the reference
+    is refused with the reference's pair; otherwise every agent's rank table is
+    the inverse of the stable value order."""
+    gaps = [ref.leveled_counterexample(instance, i) for i in range(instance.agents)]
+    failing = [(i, gap) for i, gap in enumerate(gaps) if gap is not None]
+    if failing:
+        agent, gap = failing[0]
+        with pytest.raises(NotLeveledError) as refused:
+            require_leveled(instance)
+        assert (refused.value.agent, refused.value.larger, refused.value.smaller) == (agent, *gap)
+    else:
+        assert require_leveled(instance) == [stable_ranks(row) for row in instance.values]

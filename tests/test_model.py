@@ -18,7 +18,7 @@ import fairdual
 from fairdual import model
 from fairdual.criteria import ComparisonCriterion, is_fair
 from fairdual.duality import dualize
-from fairdual.leveled import leveled_counterexample, solve_leveled_efxwc
+from fairdual.leveled import require_leveled, solve_leveled_efxwc
 from fairdual.model import (
     MAX_DECIMAL_EXPONENT,
     MAX_INSTANCE_CELLS,
@@ -27,6 +27,7 @@ from fairdual.model import (
     Instance,
     InstanceError,
     ItemType,
+    NotLeveledError,
     UnknownTypeError,
     allocation_from_json,
     allocation_to_json,
@@ -566,17 +567,17 @@ def test_leveled_predicate():
             (Fraction(1), Fraction(1), Fraction(1), Fraction(1)),
         ),
     )
-    assert leveled_counterexample(instance, 0) is None
-    assert leveled_counterexample(instance, 1) is None
+    # worst good ranks 1, ties by position
+    assert require_leveled(instance) == [[1, 3, 4, 2], [1, 2, 3, 4]]
     spiky = Instance(
         agents=2,
         types=(ItemType("a", 1), ItemType("b", 1), ItemType("c", 1)),
         values=((Fraction(10), Fraction(1), Fraction(1)),) * 2,
     )
-    larger, smaller = leveled_counterexample(spiky, 0)
-    assert larger == smaller + 1
+    with pytest.raises(NotLeveledError) as refused:
+        require_leveled(spiky)
     # the two cheapest goods together fall below the single dearest one
-    assert smaller == 1
+    assert (refused.value.agent, refused.value.larger, refused.value.smaller) == (0, 2, 1)
 
 
 @settings(max_examples=100, deadline=None)

@@ -20,7 +20,6 @@ from fairdual import shares
 from fairdual.criteria import OrientationError
 from fairdual.duality import dualize
 from fairdual.fixtures import load_fixture
-from fairdual.leveled import leveled_counterexample
 from fairdual.model import (
     Allocation,
     BudgetExceededError,
@@ -459,6 +458,23 @@ def test_aps_entitlement_validation():
         aps_share(pair, 0, Fraction(3, 2))
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_no_rational(flag):
+    """True would read as 1 and False as 0; the entitlement, alpha and shares refuse both."""
+    instance = section_instance()
+    allocation = Allocation.of(["t1", "t2", "t4"], ["t3", "t4"], ["t1", "t2", "t3"])
+    calls = (
+        ("entitlement", lambda: aps_share(instance, 0, flag)),
+        ("entitlement", lambda: share_value(instance, "aps", 0, flag)),
+        ("entitlement", lambda: check_share_duality(instance, "aps", flag)),
+        ("alpha", lambda: check_alpha_mms(instance, allocation, flag, (6, 6, 6))),
+        ("share", lambda: check_alpha_mms(instance, allocation, Fraction(1, 2), (6, flag, 6))),
+    )
+    for what, call in calls:
+        with pytest.raises(ValueError, match=f"^{what} must be a rational, got {flag}$"):
+            call()
+
+
 @pytest.mark.parametrize("agent", [-1, 3, 1.5, True])
 def test_per_agent_shares_refuse_agents_out_of_range(agent):
     instance = section_instance()
@@ -469,7 +485,6 @@ def test_per_agent_shares_refuse_agents_out_of_range(agent):
         lambda: instance.bundle_value(agent, ()),
         lambda: instance.total_value(agent),
         lambda: instance.typeset_value(agent),
-        lambda: leveled_counterexample(instance, agent),
         lambda: prop_share(instance, agent),
         lambda: mms_share(instance, agent),
         lambda: tps_share(instance, agent),

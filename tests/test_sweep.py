@@ -30,6 +30,10 @@ def test_config_validation():
     for plan_cap in (0, -1):
         with pytest.raises(ValueError, match="plan_cap must be positive"):
             SweepConfig(plan_cap=plan_cap)
+    for name in ("count", "max_agents", "max_types", "max_value", "plan_cap"):
+        for value in (True, 2.5, "3", None):
+            with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+                SweepConfig(**{name: value})
     report = run_sweep(SweepConfig(seed=2, count=3, max_value=0, plan_cap=1))
     assert (report.instances, report.ok) == (3, True)
 
